@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -116,18 +117,15 @@ std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
     }
   }
   return out;
@@ -136,6 +134,11 @@ std::string json_escape(const std::string& s) {
 }  // namespace
 
 void BenchJson::add(const std::string& key, double value) {
+  // JSON has no NaN/infinity literals.
+  if (!std::isfinite(value)) {
+    add_null(key);
+    return;
+  }
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   fields_.emplace_back(key, buf);

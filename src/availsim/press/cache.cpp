@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::press {
 
 LruCache::LruCache(std::size_t capacity_bytes, std::size_t file_bytes)
@@ -43,23 +41,6 @@ void LruCache::clear() {
 
 std::vector<workload::FileId> LruCache::resident() const {
   return {lru_.begin(), lru_.end()};
-}
-
-void LruCache::save_state(snapshot::StateWriter& w) const {
-  w.section("cache");
-  w.u64(lru_.size());
-  for (workload::FileId f : lru_) w.u64(f);  // MRU first
-}
-
-void LruCache::restore_state(snapshot::StateReader& r) {
-  r.section("cache");
-  lru_.clear();
-  map_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto file = static_cast<workload::FileId>(r.u64());
-    lru_.push_back(file);
-    map_[file] = std::prev(lru_.end());
-  }
 }
 
 }  // namespace availsim::press

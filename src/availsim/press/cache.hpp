@@ -6,11 +6,6 @@
 
 #include "availsim/workload/fileset.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::press {
 
 /// In-memory LRU file cache of one PRESS node. All files are the same size
@@ -37,16 +32,11 @@ class LruCache {
   /// Snapshot of resident files (sent to a rejoining peer).
   std::vector<workload::FileId> resident() const;
 
-  /// --- snapshot support (recency list in MRU order; capacity is a
-  /// construction parameter) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
-  std::size_t capacity_files_;  // availlint: snap-skip(construction parameter, re-supplied on restart)
+  std::size_t capacity_files_;
   std::list<workload::FileId> lru_;  // front = MRU
   std::unordered_map<workload::FileId, std::list<workload::FileId>::iterator>
-      map_;  // availlint: snap-skip(iterator index, rebuilt from the recency list on restore)
+      map_;
 };
 
 }  // namespace availsim::press

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::press {
 
 void Directory::node_caches(net::NodeId node, workload::FileId file) {
@@ -65,43 +63,6 @@ bool Directory::node_caches_file(net::NodeId node,
   if (it == where_.end()) return false;
   return std::find(it->second.begin(), it->second.end(), node) !=
          it->second.end();
-}
-
-void Directory::save_state(snapshot::StateWriter& w) const {
-  w.section("dir");
-  w.u64(where_.size());
-  for (workload::FileId file : snapshot::sorted_keys(where_)) {
-    const std::vector<net::NodeId>& nodes = where_.at(file);
-    w.u64(file);
-    w.u64(nodes.size());
-    // Replica vectors keep insertion order: best_service_node ties break on
-    // position, so the order is semantic, not incidental.
-    for (net::NodeId n : nodes) w.i64(n);
-  }
-  w.u64(loads_.size());
-  for (const auto& [n, l] : loads_) {  // FlatMap: already ascending
-    w.i64(n);
-    w.i64(l);
-  }
-}
-
-void Directory::restore_state(snapshot::StateReader& r) {
-  r.section("dir");
-  where_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto file = static_cast<workload::FileId>(r.u64());
-    std::vector<net::NodeId>& nodes = where_[file];
-    const std::uint64_t count = r.u64();
-    nodes.reserve(count);
-    for (std::uint64_t j = 0; j < count; ++j) {
-      nodes.push_back(static_cast<net::NodeId>(r.i64()));
-    }
-  }
-  loads_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<net::NodeId>(r.i64());
-    loads_[node] = static_cast<int>(r.i64());
-  }
 }
 
 std::size_t Directory::files_known_for(net::NodeId node) const {

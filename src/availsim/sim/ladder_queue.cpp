@@ -93,18 +93,6 @@ void LadderQueue::drop_head() {
   --size_;
 }
 
-void LadderQueue::clear() {
-  bottom_.clear();
-  bottom_pos_ = 0;
-  bottom_limit_ = 0;
-  for (Rung& r : rungs_) recycle(std::move(r.buckets));
-  rungs_.clear();
-  top_.clear();
-  top_min_ = 0;
-  top_max_ = 0;
-  size_ = 0;
-}
-
 void LadderQueue::spill_bottom_tail() {
   // Keep the head plus a sort-threshold's worth of live events; everything
   // past that moves into a new deepest rung covering [cut, bottom_limit_).

@@ -82,30 +82,6 @@ class LadderQueue {
   /// Removes the head without running it (cancelled-tombstone purge).
   void drop_head();
 
-  /// Calls `fn(const QueuedEvent&)` on every stored event (tombstones
-  /// included), in unspecified internal order — snapshot capture sorts by
-  /// (t, seq) itself to keep images byte-stable. Template member because
-  /// sim/ bans std::function (see availlint.rules forbid-function).
-  template <typename F>
-  void visit(F&& fn) const {
-    for (std::size_t i = bottom_pos_; i < bottom_.size(); ++i) {
-      fn(bottom_[i]);
-    }
-    for (const Rung& rung : rungs_) {
-      for (std::size_t b = rung.cur; b < rung.buckets.size(); ++b) {
-        for (const QueuedEvent& ev : rung.buckets[b]) fn(ev);
-      }
-    }
-    for (const QueuedEvent& ev : top_) fn(ev);
-  }
-
-  /// Drops every stored event and resets the ladder to its pristine
-  /// post-construction state (snapshot restore rebuilds by re-pushing;
-  /// the dequeue order is exactly (t, seq) regardless of how pushes were
-  /// interleaved, so a rebuilt ladder fires identically). The recycled
-  /// bucket pool is kept.
-  void clear();
-
  private:
   struct Rung {
     Time start = 0;  // left edge of bucket 0

@@ -1,11 +1,8 @@
 #include "availsim/sim/simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::sim {
@@ -90,88 +87,6 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && step()) {
   }
-}
-
-void Simulator::save_state(snapshot::StateWriter& w) const {
-  w.section("sim");
-  w.i64(now_);
-  w.u64(next_seq_);
-  w.u64(processed_);
-  w.u64(cancelled_pending_);
-  // Slot table, verbatim: generations and tombstone flags must survive so
-  // EventIds issued before the snapshot stay valid (and stale ids stay
-  // stale) after restore — no renumbering.
-  w.u64(slots_.size());
-  for (const Slot& s : slots_) {
-    w.u32(s.generation);
-    w.boolean(s.live);
-    w.boolean(s.cancelled);
-  }
-  w.u64(free_slots_.size());
-  for (std::uint32_t s : free_slots_) w.u32(s);
-  // Pending events, tombstones included, in canonical (t, seq) order so
-  // the image is byte-stable regardless of the ladder's internal layout.
-  struct Entry {
-    Time t;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    const EventFn* fn;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(queue_.size());
-  queue_.visit([&entries](const QueuedEvent& ev) {
-    entries.push_back(Entry{ev.t, ev.seq, ev.slot, &ev.fn});
-  });
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  });
-  w.u64(entries.size());
-  for (const Entry& e : entries) {
-    assert(e.fn->clonable() &&
-           "pending event captures move-only state; snapshot requires "
-           "by-value (copyable) captures");
-    w.i64(e.t);
-    w.u64(e.seq);
-    w.u32(e.slot);
-    // shared_ptr wrapper: std::any requires copy-constructible contents,
-    // and sharing the clone lets one snapshot be restored many times.
-    w.box(std::make_shared<const EventFn>(e.fn->clone()));
-  }
-}
-
-void Simulator::restore_state(snapshot::StateReader& r) {
-  r.section("sim");
-  now_ = r.i64();
-  next_seq_ = r.u64();
-  processed_ = r.u64();
-  cancelled_pending_ = r.u64();
-  slots_.clear();
-  const std::uint64_t slot_count = r.u64();
-  slots_.reserve(slot_count);
-  for (std::uint64_t i = 0; i < slot_count; ++i) {
-    Slot s;
-    s.generation = r.u32();
-    s.live = r.boolean();
-    s.cancelled = r.boolean();
-    slots_.push_back(s);
-  }
-  free_slots_.clear();
-  const std::uint64_t free_count = r.u64();
-  free_slots_.reserve(free_count);
-  for (std::uint64_t i = 0; i < free_count; ++i) free_slots_.push_back(r.u32());
-  queue_.clear();
-  const std::uint64_t event_count = r.u64();
-  for (std::uint64_t i = 0; i < event_count; ++i) {
-    QueuedEvent ev;
-    ev.t = r.i64();
-    ev.seq = r.u64();
-    ev.slot = r.u32();
-    // Clone out of the snapshot (never move): the same checkpoint may be
-    // restored again for the next splitting branch.
-    ev.fn = r.unbox<std::shared_ptr<const EventFn>>()->clone();
-    queue_.push(std::move(ev));
-  }
-  stopped_ = false;
 }
 
 void Simulator::run_until(Time t) {

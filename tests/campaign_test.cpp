@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -148,6 +149,35 @@ TEST(BenchJsonWriter, PreservesInsertionOrderAndTypes) {
   EXPECT_LT(s.find("\"count\""), s.find("\"rate\""));
   EXPECT_NE(s.find("\"bench\": \"x\""), std::string::npos);
   EXPECT_NE(s.find("\"events\": 7"), std::string::npos);
+}
+
+TEST(BenchJsonWriter, NonFiniteDoublesBecomeNull) {
+  // JSON has no NaN or infinity literals; a bare `nan` makes the whole
+  // file unparseable (Recorder::availability is NaN on an empty window).
+  BenchJson b;
+  b.add("nan", std::numeric_limits<double>::quiet_NaN());
+  b.add("inf", std::numeric_limits<double>::infinity());
+  b.add("neg_inf", -std::numeric_limits<double>::infinity());
+  b.add("finite", 0.25);
+  const std::string s = b.str();
+  EXPECT_NE(s.find("\"nan\": null"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"inf\": null"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"neg_inf\": null"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"finite\": 0.25"), std::string::npos) << s;
+}
+
+TEST(BenchJsonWriter, EscapesEveryControlCharacter) {
+  BenchJson b;
+  b.add("s", std::string("a\tb\rc\x01" "d\x1f\"\\"));
+  const std::string s = b.str();
+  EXPECT_NE(s.find(R"("s": "a\u0009b\u000dc\u0001d\u001f\"\\")"),
+            std::string::npos)
+      << s;
+  for (char c : s) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << s;
+    }
+  }
 }
 
 }  // namespace

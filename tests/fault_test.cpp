@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "availsim/fault/fault.hpp"
 #include "availsim/fault/injector.hpp"
@@ -197,6 +199,95 @@ TEST(Injector, UnserializedLoadCanOverlap) {
   };
   sim.run_until(3 * sim::kHour);
   EXPECT_GT(max_active, 1);
+}
+
+// Pins the stochastic expected-load schedule byte for byte: the golden
+// traces script their faults, so without this nothing would notice a
+// change to the order in which run_expected_load draws and schedules
+// arrivals. Three rows with short MTTFs contend, so serialized runs also
+// exercise the deferred-strike queue.
+std::vector<FaultInjector::Event> expected_load_log(bool serialize) {
+  sim::Simulator sim;
+  RecordingTarget target;
+  FaultInjector inj(sim, target, sim::Rng(2024));
+  const std::vector<FaultSpec> specs{
+      {FaultType::kNodeCrash, 300.0, 40.0, 2},
+      {FaultType::kScsiTimeout, 500.0, 60.0, 2},
+      {FaultType::kAppHang, 400.0, 25.0, 1},
+  };
+  inj.run_expected_load(specs, serialize, 900 * sim::kSecond);
+  sim.run_until(1000 * sim::kSecond);
+  return inj.log();
+}
+
+using Pinned = std::vector<std::tuple<sim::Time, bool, FaultType, int>>;
+
+Pinned as_tuples(const std::vector<FaultInjector::Event>& log) {
+  Pinned out;
+  for (const auto& ev : log) {
+    out.emplace_back(ev.at, ev.is_repair, ev.type, ev.component);
+  }
+  return out;
+}
+
+TEST(Injector, SerializedExpectedLoadScheduleIsPinned) {
+  const Pinned expected{
+      {116039214337, false, FaultType::kAppHang, 0},
+      {141039214337, true, FaultType::kAppHang, 0},
+      {193632114356, false, FaultType::kNodeCrash, 0},
+      {233632114356, true, FaultType::kNodeCrash, 0},
+      {233632114356, false, FaultType::kAppHang, 0},
+      {258632114356, true, FaultType::kAppHang, 0},
+      {258632114356, false, FaultType::kNodeCrash, 0},
+      {298632114356, true, FaultType::kNodeCrash, 0},
+      {366330002871, false, FaultType::kNodeCrash, 1},
+      {406330002871, true, FaultType::kNodeCrash, 1},
+      {423047644190, false, FaultType::kAppHang, 0},
+      {448047644190, true, FaultType::kAppHang, 0},
+      {448047644190, false, FaultType::kScsiTimeout, 1},
+      {508047644190, true, FaultType::kScsiTimeout, 1},
+      {609279431973, false, FaultType::kScsiTimeout, 1},
+      {669279431973, true, FaultType::kScsiTimeout, 1},
+      {669279431973, false, FaultType::kAppHang, 0},
+      {694279431973, true, FaultType::kAppHang, 0},
+      {694734293790, false, FaultType::kNodeCrash, 1},
+      {734734293790, true, FaultType::kNodeCrash, 1},
+      {734734293790, false, FaultType::kScsiTimeout, 0},
+      {794734293790, true, FaultType::kScsiTimeout, 0},
+      {865341145762, false, FaultType::kScsiTimeout, 0},
+      {925341145762, true, FaultType::kScsiTimeout, 0},
+  };
+  EXPECT_EQ(as_tuples(expected_load_log(/*serialize=*/true)), expected);
+}
+
+TEST(Injector, UnserializedExpectedLoadScheduleIsPinned) {
+  const Pinned expected{
+      {116039214337, false, FaultType::kAppHang, 0},
+      {141039214337, true, FaultType::kAppHang, 0},
+      {193632114356, false, FaultType::kNodeCrash, 0},
+      {226168592212, false, FaultType::kAppHang, 0},
+      {233632114356, true, FaultType::kNodeCrash, 0},
+      {240144225755, false, FaultType::kNodeCrash, 0},
+      {251168592212, true, FaultType::kAppHang, 0},
+      {280144225755, true, FaultType::kNodeCrash, 0},
+      {366330002871, false, FaultType::kNodeCrash, 1},
+      {406330002871, true, FaultType::kNodeCrash, 1},
+      {415584122046, false, FaultType::kAppHang, 0},
+      {431782415543, false, FaultType::kScsiTimeout, 1},
+      {440584122046, true, FaultType::kAppHang, 0},
+      {491782415543, true, FaultType::kScsiTimeout, 1},
+      {593014203326, false, FaultType::kScsiTimeout, 1},
+      {651380730741, false, FaultType::kAppHang, 0},
+      {653014203326, true, FaultType::kScsiTimeout, 1},
+      {676380730741, true, FaultType::kAppHang, 0},
+      {694734293790, false, FaultType::kNodeCrash, 1},
+      {706213944998, false, FaultType::kScsiTimeout, 0},
+      {734734293790, true, FaultType::kNodeCrash, 1},
+      {766213944998, true, FaultType::kScsiTimeout, 0},
+      {836820796970, false, FaultType::kScsiTimeout, 0},
+      {896820796970, true, FaultType::kScsiTimeout, 0},
+  };
+  EXPECT_EQ(as_tuples(expected_load_log(/*serialize=*/false)), expected);
 }
 
 }  // namespace

@@ -11,11 +11,9 @@
 // deliberately lenient about everything else: a construct it cannot
 // classify is skipped, never misread as a field.
 //
-// Consumers:
-//   * snap-coverage matches each class's declared fields against the
-//     identifiers referenced in its save_state / restore_state bodies;
-//   * hot-alloc walks call edges between function bodies starting from
-//     the declared hot-path roster.
+// Consumer: hot-alloc walks call edges between function bodies starting
+// from the declared hot-path roster, and flags insertions into the
+// node-container fields of the enclosing class.
 
 #include <cstddef>
 #include <string>
@@ -28,8 +26,6 @@ namespace availlint {
 struct FieldInfo {
   std::string name;
   int line = 0;          // declaration line (1-based)
-  bool is_reference = false;  // T& / T&& member: rebinding is impossible, so
-                              // snapshot accounting exempts it automatically
   // Declared type is a node-per-element container (map/set/list and the
   // unordered_* family): insertion allocates on every call.
   bool node_container = false;
@@ -40,10 +36,7 @@ struct FieldInfo {
 struct ClassInfo {
   std::string name;  // unqualified
   int line = 0;      // line of the class/struct keyword
-  bool nested = false;  // declared inside another class/struct
   std::vector<FieldInfo> fields;
-  bool declares_save = false;     // member save_state(...) declared/defined
-  bool declares_restore = false;  // member restore_state(...) declared/defined
 };
 
 struct FunctionDef {
