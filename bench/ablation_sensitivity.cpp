@@ -14,6 +14,7 @@
 #include "availsim/harness/model_cache.hpp"
 #include "availsim/harness/report.hpp"
 #include "availsim/model/template.hpp"
+#include "availsim/trace/trace.hpp"
 
 using namespace availsim;
 
@@ -81,13 +82,8 @@ void fme_probe_sweep() {
     // defaults, so emulate by scaling: detection ~= wedge + confirm*period.
     harness::Phase1Result r = harness::run_single_fault(
         opts, fault::FaultType::kScsiTimeout, 2);
-    sim::Time offline = -1;
-    for (const auto& ev : r.events) {
-      if (ev.at > r.t_inject && ev.what == "fme_node_offline") {
-        offline = ev.at;
-        break;
-      }
-    }
+    const sim::Time offline = trace::first_record_after(
+        r.events, trace::Kind::kFmeOffline, r.t_inject);
     std::printf("%10.1f s %19.1f s%s\n", period_s,
                 offline >= 0 ? sim::to_seconds(offline - r.t_inject) : -1.0,
                 period_s != 5.0 ? "  (daemon default; latency dominated by "

@@ -7,11 +7,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "availsim/fault/injector.hpp"
 #include "availsim/harness/experiment.hpp"
 #include "availsim/harness/testbed.hpp"
+#include "availsim/trace/trace.hpp"
 
 using namespace availsim;
 
@@ -20,15 +20,18 @@ int main(int argc, char** argv) {
   harness::TestbedOptions opts =
       harness::default_testbed_options(harness::ServerConfig::kFme, seed);
   opts.warmup = 180 * sim::kSecond;
+  opts.trace = true;
 
   sim::Simulator simulator;
   harness::Testbed tb(simulator, opts);
+  // Each drill's story: fault, detection, enforcement, masking, recovery.
+  using K = trace::Kind;
+  trace::RecordLog events(
+      *tb.tracer(),
+      {K::kFaultInject, K::kFaultRepair, K::kQueueFail, K::kMemSuspect,
+       K::kMemDownReport, K::kFmeRestart, K::kFmeOffline, K::kFeMask,
+       K::kFeUnmask, K::kPressStart, K::kOperatorReset});
   fault::FaultInjector injector(simulator, tb, sim::Rng(seed));
-  injector.on_event = [&tb](const fault::FaultInjector::Event& ev) {
-    tb.note(std::string(ev.is_repair ? "REPAIR " : "FAULT ") +
-                fault::to_string(ev.type),
-            ev.component);
-  };
 
   struct Step {
     fault::FaultType type;
@@ -54,20 +57,19 @@ int main(int argc, char** argv) {
 
   std::printf("== failover drill (FME configuration, seed %llu) ==\n\n",
               static_cast<unsigned long long>(seed));
-  for (const auto& ev : tb.log()) {
+  for (const auto& ev : events.records()) {
     if (ev.at < opts.warmup - 10 * sim::kSecond) continue;
-    if (ev.what == "blocked" || ev.what == "unblocked") continue;
-    std::printf("t=%7.1fs  %-28s node=%d\n", sim::to_seconds(ev.at),
-                ev.what.c_str(), ev.node);
+    const bool is_fault =
+        ev.kind == K::kFaultInject || ev.kind == K::kFaultRepair;
+    std::printf("t=%7.1fs  %-16s node=%-2d %s\n", sim::to_seconds(ev.at),
+                trace::to_string(ev.kind), ev.node,
+                is_fault ? fault::to_string(static_cast<fault::FaultType>(ev.a))
+                         : "");
   }
 
   const double avail = tb.recorder().availability(opts.warmup, t_end);
   std::printf("\nAvailability across the gauntlet: %.4f%%\n", 100 * avail);
   std::printf("Operator resets needed: %d (the whole point of FME: zero)\n",
-              [&] {
-                int n = 0;
-                for (const auto& ev : tb.log()) n += ev.what == "operator_reset";
-                return n;
-              }());
+              trace::count_records(events.records(), K::kOperatorReset));
   return 0;
 }

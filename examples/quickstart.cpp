@@ -9,6 +9,7 @@
 
 #include "availsim/harness/experiment.hpp"
 #include "availsim/harness/report.hpp"
+#include "availsim/trace/trace.hpp"
 
 using namespace availsim;
 
@@ -51,13 +52,12 @@ int main(int argc, char** argv) {
   std::printf("  expected unavailability contribution: %s\n",
               harness::format_unavailability(r.tmpl.unavailability(r.t0))
                   .c_str());
-  std::printf("\nEvents:\n");
-  std::size_t shown = 0;
+  std::printf("\nStage-boundary events:\n");
   for (const auto& ev : r.events) {
-    if (ev.at < r.t_inject - sim::kSecond) continue;
-    if (++shown > 40) break;
-    std::printf("  t=%8.1fs  %-24s node=%d\n", sim::to_seconds(ev.at),
-                ev.what.c_str(), ev.node);
+    if (ev.at < r.t_inject) continue;  // warm-up
+    std::printf("  t=%8.1fs  %-24s node=%d a=%lld\n", sim::to_seconds(ev.at),
+                trace::to_string(ev.kind), ev.node,
+                static_cast<long long>(ev.a));
   }
   return 0;
 }

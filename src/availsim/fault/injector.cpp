@@ -25,19 +25,15 @@ void FaultInjector::fire(bool is_repair, FaultType type, int component) {
   trace::emit(sim_, trace::Category::kFault,
               is_repair ? trace::Kind::kFaultRepair : trace::Kind::kFaultInject,
               component, static_cast<std::int64_t>(type));
-  Event ev{sim_.now(), is_repair, type, component};
-  log_.push_back(ev);
+  log_.push_back(Event{sim_.now(), is_repair, type, component});
   if (is_repair) {
     std::erase(active_set_, std::make_pair(type, component));
-    --active_;
     target_.repair(type, component);
   } else {
     active_set_.emplace_back(type, component);
-    ++active_;
     target_.inject(type, component);
   }
-  if (on_event) on_event(ev);
-  if (is_repair && active_ == 0 && !deferred_.empty()) {
+  if (is_repair && active_set_.empty() && !deferred_.empty()) {
     auto next = std::move(deferred_.front());
     deferred_.erase(deferred_.begin());
     sim_.schedule_after(0, std::move(next));
@@ -84,7 +80,7 @@ void FaultInjector::arm_component(const FaultSpec& spec, int component,
         arm_component(spec, component, serialize, horizon);
       });
     };
-    if (serialize && active_ > 0) {
+    if (serialize && !active_set_.empty()) {
       deferred_.push_back(strike);
     } else {
       strike();

@@ -74,12 +74,8 @@ class FaultInjector {
                            CorrelatedLoadOptions options, sim::Time horizon);
 
   const std::vector<Event>& log() const { return log_; }
-  int active_faults() const { return active_; }
+  int active_faults() const { return static_cast<int>(active_set_.size()); }
   bool is_active(FaultType type, int component) const;
-
-  /// Observer fired on every injection/repair (markers for the stage
-  /// extractor).
-  std::function<void(const Event&)> on_event;
 
  private:
   void fire(bool is_repair, FaultType type, int component);
@@ -92,7 +88,6 @@ class FaultInjector {
   FaultTarget& target_;
   sim::Rng rng_;
   std::vector<Event> log_;
-  int active_ = 0;
   // Currently-faulty (type, component) pairs; makes inject/repair
   // idempotent at the injector so the target hooks never see a double
   // repair (or double injection) of the same component.

@@ -109,7 +109,6 @@ void FmeDaemon::on_probe_result(bool ok) {
     ++stats_.offline_actions;
     trace::emit(sim_, trace::Category::kFme, trace::Kind::kFmeOffline,
                 host_.id());
-    if (on_marker) on_marker("fme_offline", host_.id());
     if (take_node_offline) take_node_offline();
     return;
   }
@@ -122,7 +121,6 @@ void FmeDaemon::on_probe_result(bool ok) {
   ++stats_.restart_actions;
   trace::emit(sim_, trace::Category::kFme, trace::Kind::kFmeRestart,
               host_.id());
-  if (on_marker) on_marker("fme_restart", host_.id());
   if (restart_application) restart_application();
 }
 

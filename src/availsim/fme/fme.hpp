@@ -56,7 +56,6 @@ class FmeDaemon {
   std::function<void()> restart_application;
 
   const Stats& stats() const { return stats_; }
-  std::function<void(const char* marker, net::NodeId about)> on_marker;
 
  private:
   bool host_ok() const { return host_.state() == net::Host::State::kUp; }

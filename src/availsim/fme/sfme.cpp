@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "availsim/trace/trace.hpp"
+
 namespace availsim::fme {
 
 SfmeMonitor::SfmeMonitor(sim::Simulator& simulator, SfmeParams params)
@@ -57,7 +59,7 @@ void SfmeMonitor::run_cycle() {
     if (++isolation_count_[i] < p_.confirm) continue;
     isolation_count_[i] = 0;
     ++offline_actions_;
-    if (on_marker) on_marker("sfme_offline", n.id);
+    trace::emit(sim_, trace::Category::kFme, trace::Kind::kSfmeOffline, n.id);
     if (take_node_offline) take_node_offline(n.id);
   }
 }

@@ -36,7 +36,6 @@ class SfmeMonitor {
 
   /// Enforcement action, wired to the testbed (takes the node down).
   std::function<void(net::NodeId)> take_node_offline;
-  std::function<void(const char* marker, net::NodeId about)> on_marker;
 
   void start();
   void stop();

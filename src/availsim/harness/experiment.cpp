@@ -91,12 +91,11 @@ Phase1Result run_single_fault(const TestbedOptions& options,
   sim::Simulator sim;
   TestbedOptions opts = options;
   opts.trace_label += trace_slug(type, component);
+  opts.trace = true;  // the stage boundaries come from trace records
   Testbed tb(sim, opts);
+  trace::RecordLog events(*tb.tracer(), kStageKinds);
   sim::Rng rng(options.seed ^ 0x5EED);
   fault::FaultInjector injector(sim, tb, rng.fork(9));
-  injector.on_event = [&tb](const fault::FaultInjector::Event& ev) {
-    tb.note(ev.is_repair ? "fault_repaired" : "fault_injected", ev.component);
-  };
 
   const auto specs = tb.fault_load();
   const auto* spec = fault::find_spec(specs, type);
@@ -125,7 +124,7 @@ Phase1Result run_single_fault(const TestbedOptions& options,
 
   ExtractionInputs in;
   in.recorder = &tb.recorder();
-  in.events = &tb.log();
+  in.events = &events.records();
   in.t_inject = t_inject;
   in.t_repair_sim = t_repair;
   in.t_end = t_end;
@@ -146,7 +145,7 @@ Phase1Result run_single_fault(const TestbedOptions& options,
   result.tmpl.components = spec ? spec->component_count : 0;
   result.tmpl.stages = extract_stages(in);
   result.series_rps = series_from(tb.recorder());
-  result.events = tb.log();
+  result.events = events.records();
   return result;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "availsim/harness/testbed.hpp"
@@ -30,8 +29,9 @@ struct Phase1Result {
   sim::Time t_repair = 0;
   /// 1-second goodput bins over the whole run (Figure-4-style timelines).
   std::vector<double> series_rps;
-  /// Event log of the run (detections, exclusions, operator actions).
-  std::vector<Testbed::LogEvent> events;
+  /// The run's stage-boundary trace records (kStageKinds in
+  /// stage_extractor.hpp: detections and operator actions), in order.
+  std::vector<trace::TraceRecord> events;
 };
 
 /// Testbed defaults shared by every experiment: the paper's §5 environment

@@ -1,25 +1,15 @@
 #include "availsim/harness/stage_extractor.hpp"
 
 #include <algorithm>
-#include <string_view>
 
 namespace availsim::harness {
 
 namespace {
 
-bool is_detection_marker(std::string_view what) {
-  return what == "detect_failure" || what == "qmon_fail" ||
-         what == "mem_suspect" || what == "fe_mask" ||
-         what == "fme_offline" || what == "fme_restart" ||
-         what == "sfme_offline" || what == "mem_node_down_report";
-}
-
-sim::Time find_marker(const std::vector<Testbed::LogEvent>& events,
-                      std::string_view what, sim::Time after) {
-  for (const auto& ev : events) {
-    if (ev.at > after && ev.what == what) return ev.at;
-  }
-  return -1;
+bool is_detection(trace::Kind kind) {
+  return kind != trace::Kind::kOperatorReset &&
+         kind != trace::Kind::kOperatorDone &&
+         std::ranges::count(kStageKinds, kind) > 0;
 }
 
 double window_throughput(const workload::Recorder& rec, sim::Time a,
@@ -30,12 +20,12 @@ double window_throughput(const workload::Recorder& rec, sim::Time a,
 
 }  // namespace
 
-sim::Time find_detection(const std::vector<Testbed::LogEvent>& events,
+sim::Time find_detection(const std::vector<trace::TraceRecord>& events,
                          sim::Time t_inject, sim::Time t_repair_sim) {
   sim::Time best = t_repair_sim;
   for (const auto& ev : events) {
     if (ev.at <= t_inject || ev.at >= best) continue;
-    if (is_detection_marker(ev.what)) best = ev.at;
+    if (is_detection(ev.kind)) best = ev.at;
   }
   return best;
 }
@@ -80,11 +70,12 @@ model::StageTemplate extract_stages(const ExtractionInputs& in) {
   }
 
   // Operator events (if the service needed a reset).
-  const sim::Time t_operator =
-      find_marker(events, "operator_reset", in.t_repair_sim);
+  const sim::Time t_operator = trace::first_record_after(
+      events, trace::Kind::kOperatorReset, in.t_repair_sim);
   sim::Time t_op_done = -1;
   if (t_operator >= 0) {
-    t_op_done = find_marker(events, "operator_done", t_operator);
+    t_op_done = trace::first_record_after(events, trace::Kind::kOperatorDone,
+                                          t_operator);
     if (t_op_done < 0) t_op_done = t_operator + 15 * sim::kSecond;
   }
 

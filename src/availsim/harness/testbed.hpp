@@ -89,12 +89,6 @@ struct TestbedOptions {
 /// and the fault-injection hooks (fault::FaultTarget).
 class Testbed : public fault::FaultTarget {
  public:
-  struct LogEvent {
-    sim::Time at;
-    std::string what;
-    net::NodeId node;
-  };
-
   Testbed(sim::Simulator& simulator, TestbedOptions options);
   ~Testbed() override;
 
@@ -139,9 +133,8 @@ class Testbed : public fault::FaultTarget {
   /// Rolling restart of all server processes (the operator's reset).
   void operator_reset();
 
-  const std::vector<LogEvent>& log() const { return log_; }
-  void note(std::string what, net::NodeId node = net::kNoNode);
-  int active_faults() const { return active_fault_count_; }
+  /// Distinct (type, component) pairs injected and not yet repaired.
+  int active_faults() const { return static_cast<int>(active_faults_.size()); }
 
  private:
   struct Server {
@@ -162,7 +155,10 @@ class Testbed : public fault::FaultTarget {
   void start_server_processes(int i, sim::Time delay,
                               bool prewarm = false);
   void restart_press(int i, bool prewarm = false);
-  void take_node_offline(int i, const char* cause);
+  /// The back-end a fault strikes (disk faults name a global disk index);
+  /// -1 for the switch and the front-end.
+  int node_hit_by(fault::FaultType type, int component) const;
+  void take_node_offline(int i);
   void reboot_node(int i);
   bool node_fault_active(int i) const;
   void arm_offline_watcher();
@@ -191,9 +187,7 @@ class Testbed : public fault::FaultTarget {
   std::unique_ptr<workload::Popularity> popularity_;
   std::unique_ptr<workload::Recorder> recorder_;
 
-  std::vector<LogEvent> log_;
   std::vector<std::pair<fault::FaultType, int>> active_faults_;
-  int active_fault_count_ = 0;
   sim::Time suboptimal_since_ = -1;
 };
 

@@ -32,10 +32,6 @@ MemberServer::MemberServer(sim::Simulator& simulator,
       p_(params),
       board_(board) {}
 
-void MemberServer::mark(const char* m, net::NodeId about) {
-  if (on_marker) on_marker(m, about);
-}
-
 void MemberServer::start() {
   if (!host_ok()) return;
   ++epoch_;
@@ -60,10 +56,7 @@ void MemberServer::start() {
   // If nobody answers, we are the first daemon: form a singleton group.
   sim_.schedule_after(p_.join_timeout, [this, e = epoch_] {
     if (epoch_ != e || !running_) return;
-    if (!joined_) {
-      joined_ = true;
-      mark("group_formed");
-    }
+    joined_ = true;
   });
 
   arm_heartbeat_timer();
@@ -71,7 +64,6 @@ void MemberServer::start() {
   arm_announce_timer();
   trace::emit(sim_, Category::kMembership, Kind::kMemStart, id(),
               static_cast<std::int64_t>(trace::node_bit(id())));
-  mark("daemon_start");
 }
 
 void MemberServer::on_host_crashed() {
@@ -189,7 +181,6 @@ void MemberServer::check_neighbours() {
     if (sim_.now() - it->second > suspect_deadline(nb) &&
         !removing_.contains(nb)) {
       trace::emit(sim_, Category::kMembership, Kind::kMemSuspect, id(), nb);
-      mark("suspect", nb);
       coordinate_change(/*add=*/false, nb, {});
     }
   }
@@ -340,11 +331,9 @@ void MemberServer::handle_commit(const CommitChange& msg,
     // our daemon was healthy). Fall back to a singleton group; the periodic
     // announcements will merge us back once we are really healthy.
     install_view({id()});
-    mark("removed_from_group");
     return;
   }
   install_view(msg.new_view);
-  mark(msg.add ? "member_added" : "member_removed", msg.subject);
 }
 
 void MemberServer::install_view(std::vector<net::NodeId> members) {
@@ -414,7 +403,6 @@ void MemberServer::handle_alive(const AliveAnnounce& msg) {
       if (!view_.contains(m)) extra.push_back(m);
     }
     trace::emit(sim_, Category::kMembership, Kind::kMemMerge, id(), msg.from);
-    mark("anti_entropy", msg.from);
     if (extra.empty()) {
       // Their view is a strict subset of ours: they missed a commit. Push
       // them the current view, the same refresh a stale joiner gets.
@@ -440,7 +428,6 @@ void MemberServer::handle_alive(const AliveAnnounce& msg) {
     if (!view_.contains(m) && m != msg.from) extra.push_back(m);
   }
   trace::emit(sim_, Category::kMembership, Kind::kMemMerge, id(), msg.from);
-  mark("merge", msg.from);
   coordinate_change(/*add=*/true, msg.from, std::move(extra));
 }
 
@@ -453,7 +440,6 @@ void MemberServer::node_down_report(net::NodeId node) {
   if (!view_.contains(node) || node == id()) return;
   if (removing_.contains(node)) return;
   trace::emit(sim_, Category::kMembership, Kind::kMemDownReport, id(), node);
-  mark("node_down_report", node);
   coordinate_change(/*add=*/false, node, {});
 }
 

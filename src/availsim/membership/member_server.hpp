@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -73,12 +72,9 @@ class MemberServer {
   const std::set<net::NodeId>& view() const { return view_; }
   bool running() const { return running_; }
 
-  std::function<void(const char* marker, net::NodeId about)> on_marker;
-
  private:
   bool host_ok() const { return host_.state() == net::Host::State::kUp; }
   bool ok() const { return running_ && host_ok(); }
-  void mark(const char* m, net::NodeId about = net::kNoNode);
 
   void on_packet(const net::Packet& packet);
   void handle_heartbeat(const MHeartbeat& msg);

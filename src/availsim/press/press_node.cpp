@@ -37,10 +37,6 @@ PressNode::PressNode(sim::Simulator& simulator, net::Network& cluster_net,
   assert(!disks_.empty());
 }
 
-void PressNode::mark(const char* m, net::NodeId about) {
-  if (on_marker) on_marker(m, about);
-}
-
 // ---------------------------------------------------------------------------
 // Process lifecycle
 // ---------------------------------------------------------------------------
@@ -103,7 +99,6 @@ void PressNode::start(bool prewarm) {
   if (prewarm) prewarm_cache();
   trace::emit(sim_, Category::kPress, Kind::kPressStart, id(),
               static_cast<std::int64_t>(coop_mask()));
-  mark("start");
 }
 
 void PressNode::prewarm_cache() {
@@ -157,21 +152,18 @@ void PressNode::crash_process() {
   coop_.clear();
   active_requests_ = 0;
   trace::emit(sim_, Category::kPress, Kind::kPressStop, id());
-  mark("process_down");
 }
 
 void PressNode::hang_process() {
   if (!process_up_ || hung_) return;
   hung_ = true;
   trace::emit(sim_, Category::kPress, Kind::kPressHang, id());
-  mark("hang");
 }
 
 void PressNode::unhang_process() {
   if (!process_up_ || !hung_) return;
   hung_ = false;
   trace::emit(sim_, Category::kPress, Kind::kPressUnhang, id());
-  mark("unhang");
   drain_paused();
   drain_backlog();
 }
@@ -243,7 +235,6 @@ void PressNode::block_main(const char* reason, std::function<bool()> retry) {
   block_retry_ = std::move(retry);
   ++stats_.blocked_episodes;
   trace::emit(sim_, Category::kPress, Kind::kPressBlocked, id());
-  mark("blocked");
   arm_block_retry();
 }
 
@@ -262,7 +253,6 @@ void PressNode::try_unblock() {
   block_retry_ = nullptr;
   last_progress_ = sim_.now();
   trace::emit(sim_, Category::kPress, Kind::kPressUnblocked, id());
-  mark("unblocked");
   drain_paused();
   drain_backlog();
 }
@@ -399,7 +389,6 @@ void PressNode::forward_to(net::NodeId peer,
     // probe trickle so recovery is noticed.
     ++stats_.rerouted_slow;
     trace::emit(sim_, Category::kQmon, Kind::kQueueSlowPeer, id(), peer);
-    mark("slow_peer", peer);
     if (allow_reroute) {
       reroute(request, peer);
     } else {
@@ -728,7 +717,6 @@ void PressNode::qmon_fail(net::NodeId peer) {
                 static_cast<std::int64_t>(q.queued_requests()),
                 static_cast<std::int64_t>(q.queued_total()));
   }
-  mark("qmon_fail", peer);
   exclude_node(peer);
   if (report_node_down) report_node_down(peer);
 }
@@ -847,7 +835,6 @@ net::NodeId PressNode::ring_predecessor() const {
 
 void PressNode::initiate_exclusion(net::NodeId target) {
   trace::emit(sim_, Category::kPress, Kind::kPressDetect, id(), target);
-  mark("detect_failure", target);
   // Tell everyone, including the target: if the target is actually alive
   // (a violated fault model), it will process its own exclusion later and
   // splinter off as a singleton sub-cluster.  Node-id order (FlatSet
@@ -866,7 +853,6 @@ void PressNode::exclude_node(net::NodeId target) {
   if (target == id()) {
     // We were presumed dead by the others. Continue alone (splinter).
     ++stats_.self_exclusions;
-    mark("self_excluded");
     // Purge queues in node-id order (FlatMap iteration).  Keys are
     // collected first because fail_forward_ids() can reroute, which
     // touches sendq_ mid-purge.
@@ -891,7 +877,6 @@ void PressNode::exclude_node(net::NodeId target) {
   ++stats_.exclusions;
   trace::emit(sim_, Category::kPress, Kind::kPressExclude, id(), target,
               static_cast<std::int64_t>(coop_mask()));
-  mark("exclude", target);
   dir_.remove_node(target);
   last_heartbeat_.erase(target);
   if (auto it = sendq_.find(target); it != sendq_.end()) {
@@ -983,14 +968,12 @@ void PressNode::handle_rejoin_reply(const RejoinReply& msg) {
   ++stats_.rejoins;
   trace::emit(sim_, Category::kPress, Kind::kPressRejoin, id(), 0,
               static_cast<std::int64_t>(coop_mask()));
-  mark("rejoined");
   reset_heartbeat_grace();
 }
 
 void PressNode::handle_join_announce(const JoinAnnounce& msg,
                                      net::NodeId /*from*/) {
   add_member(msg.joiner);
-  mark("member_joined", msg.joiner);
   CacheSnapshot snap;
   snap.owner = id();
   snap.files = cache_.resident();
@@ -1022,7 +1005,6 @@ void PressNode::node_in(net::NodeId node) {
   if (!coop_.insert(node)) return;
   trace::emit(sim_, Category::kPress, Kind::kPressAddMember, id(), node,
               static_cast<std::int64_t>(coop_mask()));
-  mark("node_in", node);
   CacheSnapshot snap;
   snap.owner = id();
   snap.files = cache_.resident();
@@ -1037,7 +1019,6 @@ void PressNode::node_out(net::NodeId node) {
   if (!process_up_ || p_.membership != PressParams::Membership::kExternal) {
     return;
   }
-  mark("node_out", node);
   exclude_node(node);
 }
 

@@ -105,16 +105,11 @@ class PressNode {
   const Directory& directory() const { return dir_; }
   std::size_t send_queue_depth(net::NodeId peer) const;
 
-  /// Marker stream for the measurement harness ("exclude", "blocked",
-  /// "rejoined", ...).
-  std::function<void(const char* marker, net::NodeId about)> on_marker;
-
  private:
   // --- guards / thread model ---
   bool host_ok() const { return host_.state() == net::Host::State::kUp; }
   bool helper_ok() const { return process_up_ && !hung_ && host_ok(); }
   bool main_ok() const { return helper_ok() && !blocked_; }
-  void mark(const char* m, net::NodeId about = net::kNoNode);
   std::uint64_t coop_mask() const;
 
   /// Runs `fn` on the coordinating thread's CPU after `cost` service time;

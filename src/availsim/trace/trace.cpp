@@ -69,6 +69,7 @@ const char* to_string(Kind kind) {
     case Kind::kFmeProbeFail: return "fme_probe_fail";
     case Kind::kFmeRestart: return "fme_restart";
     case Kind::kFmeOffline: return "fme_offline";
+    case Kind::kSfmeOffline: return "sfme_offline";
     case Kind::kFeMask: return "fe_mask";
     case Kind::kFeUnmask: return "fe_unmask";
     case Kind::kReqSend: return "req_send";
@@ -78,6 +79,7 @@ const char* to_string(Kind kind) {
     case Kind::kFaultRepair: return "fault_repair";
     case Kind::kTestbedStart: return "testbed_start";
     case Kind::kOperatorReset: return "operator_reset";
+    case Kind::kOperatorDone: return "operator_done";
     case Kind::kAuditTick: return "audit_tick";
     case Kind::kKindCount: return "?";
   }
@@ -131,6 +133,8 @@ void Tracer::clear() {
   head_ = 0;
   count_ = 0;
 }
+
+RecordLog::~RecordLog() { tracer_.remove_listener(this); }
 
 std::string format_record(const TraceRecord& record) {
   std::string out;

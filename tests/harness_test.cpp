@@ -33,8 +33,11 @@ class ExtractorFixture : public ::testing::Test {
     }
   }
 
-  void event(sim::Time at, const char* what, int node = 0) {
-    events_.push_back({at, what, node});
+  void event(sim::Time at, trace::Kind kind) {
+    trace::TraceRecord r;
+    r.at = at;
+    r.kind = kind;
+    events_.push_back(r);
   }
 
   ExtractionInputs inputs() {
@@ -53,13 +56,14 @@ class ExtractorFixture : public ::testing::Test {
 
   sim::Simulator sim_;
   workload::Recorder recorder_;
-  std::vector<Testbed::LogEvent> events_;
+  std::vector<trace::TraceRecord> events_;
 };
 
 TEST_F(ExtractorFixture, FindDetectionPicksFirstMarkerAfterInjection) {
-  event(50 * sim::kSecond, "detect_failure");  // before injection: ignored
-  event(110 * sim::kSecond, "qmon_fail");
-  event(120 * sim::kSecond, "detect_failure");
+  // Before the injection: ignored.
+  event(50 * sim::kSecond, trace::Kind::kPressDetect);
+  event(110 * sim::kSecond, trace::Kind::kQueueFail);
+  event(120 * sim::kSecond, trace::Kind::kPressDetect);
   EXPECT_EQ(find_detection(events_, 100 * sim::kSecond, 250 * sim::kSecond),
             110 * sim::kSecond);
 }
@@ -86,9 +90,9 @@ TEST_F(ExtractorFixture, FullTimelineProducesAllStages) {
   fill(250 * sim::kSecond, 500 * sim::kSecond, 90);
   fill(500 * sim::kSecond, 510 * sim::kSecond, 10);
   fill(510 * sim::kSecond, 800 * sim::kSecond, 95);
-  event(115 * sim::kSecond, "detect_failure");
-  event(500 * sim::kSecond, "operator_reset");
-  event(510 * sim::kSecond, "operator_done");
+  event(115 * sim::kSecond, trace::Kind::kPressDetect);
+  event(500 * sim::kSecond, trace::Kind::kOperatorReset);
+  event(510 * sim::kSecond, trace::Kind::kOperatorDone);
   sim_.run();
   auto st = extract_stages(inputs());
 
@@ -110,7 +114,7 @@ TEST_F(ExtractorFixture, FullTimelineProducesAllStages) {
 
 TEST_F(ExtractorFixture, NoOperatorMeansNoFGStages) {
   fill(0, 800 * sim::kSecond, 100);
-  event(110 * sim::kSecond, "fe_mask");
+  event(110 * sim::kSecond, trace::Kind::kFeMask);
   sim_.run();
   auto st = extract_stages(inputs());
   EXPECT_DOUBLE_EQ(st.t(model::Stage::kF), 0.0);
@@ -121,7 +125,7 @@ TEST_F(ExtractorFixture, NoOperatorMeansNoFGStages) {
 
 TEST_F(ExtractorFixture, ShortMttrClampsStages) {
   fill(0, 800 * sim::kSecond, 100);
-  event(110 * sim::kSecond, "detect_failure");
+  event(110 * sim::kSecond, trace::Kind::kPressDetect);
   sim_.run();
   auto in = inputs();
   in.mttr_real_seconds = 20;  // shorter than A+B

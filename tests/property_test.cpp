@@ -23,13 +23,14 @@ struct RunSummary {
   std::uint64_t offered;
   std::uint64_t success;
   std::uint64_t failed;
-  std::size_t events;
+  std::uint64_t trace_records;
   bool operator==(const RunSummary&) const = default;
 };
 
 RunSummary short_run(harness::ServerConfig config, std::uint64_t seed) {
   harness::TestbedOptions opts = harness::default_testbed_options(config, seed);
   opts.warmup = 60 * sim::kSecond;
+  opts.trace = true;
   sim::Simulator simulator;
   harness::Testbed tb(simulator, opts);
   fault::FaultInjector injector(simulator, tb, sim::Rng(seed));
@@ -39,7 +40,7 @@ RunSummary short_run(harness::ServerConfig config, std::uint64_t seed) {
   simulator.run_until(200 * sim::kSecond);
   return RunSummary{tb.recorder().total_offered(),
                     tb.recorder().total_success(),
-                    tb.recorder().total_failed(), tb.log().size()};
+                    tb.recorder().total_failed(), tb.tracer()->emitted()};
 }
 
 TEST(Property, RunsAreBitReproducibleForFixedSeed) {
@@ -112,7 +113,8 @@ AuditedRun audited_short_run(harness::ServerConfig config, std::uint64_t seed,
   simulator.run_until(200 * sim::kSecond);
   run.summary = RunSummary{tb.recorder().total_offered(),
                            tb.recorder().total_success(),
-                           tb.recorder().total_failed(), tb.log().size()};
+                           tb.recorder().total_failed(),
+                           tb.tracer()->emitted()};
   run.availability =
       tb.recorder().availability(opts.warmup, 200 * sim::kSecond);
   return run;
