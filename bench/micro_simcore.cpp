@@ -6,8 +6,10 @@
 // After the google-benchmark suite, a hand-timed section measures raw
 // event-loop throughput, timer churn over ~1M standing timers, and a
 // fig7-style mini fault campaign with --jobs 1 vs --jobs N (parallel
-// campaign runner). The perf trajectory lands in BENCH_simcore.json (path
-// override: AVAILSIM_BENCH_JSON; --quick shrinks the campaigns for CI).
+// campaign runner). The serial campaign also counts its heap allocations
+// (alloc_counter.cpp) and reports them per event. The perf trajectory
+// lands in BENCH_simcore.json (path override: AVAILSIM_BENCH_JSON;
+// --quick shrinks the campaigns for CI).
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "availsim/fault/injector.hpp"
 #include "availsim/harness/campaign.hpp"
 #include "availsim/harness/experiment.hpp"
@@ -286,9 +289,12 @@ int main(int argc, char** argv) {
     });
   };
 
+  const std::uint64_t allocs_before = bench::heap_allocations();
   harness::WallTimer serial_timer;
   auto serial = campaign(1);
   const double serial_s = serial_timer.seconds();
+  const std::uint64_t campaign_allocs =
+      bench::heap_allocations() - allocs_before;
 
   // The parallel leg only means something when more than one worker is
   // available. With jobs == 1 it would re-run the identical serial
@@ -302,6 +308,13 @@ int main(int argc, char** argv) {
   for (int i = 0; i < replicas; ++i) {
     campaign_events += serial[static_cast<std::size_t>(i)].events;
   }
+  const double allocs_per_event =
+      campaign_events > 0 ? static_cast<double>(campaign_allocs) /
+                                static_cast<double>(campaign_events)
+                          : 0.0;
+  std::printf("campaign --jobs 1: %llu heap allocations (%.3f per event)\n",
+              static_cast<unsigned long long>(campaign_allocs),
+              allocs_per_event);
   if (parallel_leg) {
     harness::WallTimer parallel_timer;
     auto parallel = campaign(jobs);
@@ -338,6 +351,8 @@ int main(int argc, char** argv) {
             serial_s > 0 ? static_cast<double>(campaign_events) / serial_s
                          : 0.0);
   bench.add("campaign_wall_seconds_jobs1", serial_s);
+  bench.add("campaign_allocs", campaign_allocs);
+  bench.add("campaign_allocs_per_event", allocs_per_event);
   bench.add("campaign_jobs", jobs);
   if (parallel_leg) {
     bench.add("campaign_wall_seconds_jobsN", parallel_s);

@@ -180,13 +180,14 @@ void PressNode::resume_after_thaw() {
 // Coordinating-thread scheduling
 // ---------------------------------------------------------------------------
 
-void PressNode::schedule_cpu(sim::Time cost, std::function<void()> fn) {
+template <typename F>
+void PressNode::schedule_cpu(sim::Time cost, F fn) {
   // A limping host (gray fault) stretches every CPU service time; the
   // process still makes progress, still heartbeats, still answers pings.
   cost = static_cast<sim::Time>(static_cast<double>(cost) *
                                 host_.slow_factor());
   cpu_free_ = std::max(sim_.now(), cpu_free_) + cost;
-  sim_.schedule_at(cpu_free_, [this, e = epoch_, fn = std::move(fn)] {
+  auto step = [this, e = epoch_, fn = std::move(fn)]() mutable {
     if (epoch_ != e || !process_up_) return;
     if (!main_ok()) {
       paused_.push_back(std::move(fn));
@@ -194,7 +195,11 @@ void PressNode::schedule_cpu(sim::Time cost, std::function<void()> fn) {
     }
     last_progress_ = sim_.now();
     fn();
-  });
+  };
+  // The step must fit EventFn's inline buffer (a parked `fn` is smaller),
+  // or every CPU step heap-allocates.
+  static_assert(sizeof(step) <= sim::EventFn::kInlineSize);
+  sim_.schedule_at(cpu_free_, std::move(step));
 }
 
 void PressNode::drain_paused() {
@@ -203,7 +208,7 @@ void PressNode::drain_paused() {
   // remainder still parked — rescheduling everything on every unblock is
   // quadratic under block/unblock churn.
   while (!paused_.empty() && main_ok()) {
-    std::function<void()> fn = std::move(paused_.front());  // availlint: hot-ok(move out of the parked deque; moving a std::function never allocates)
+    sim::EventFn fn = std::move(paused_.front());
     paused_.pop_front();
     last_progress_ = sim_.now();
     fn();

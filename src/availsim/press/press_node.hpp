@@ -14,6 +14,7 @@
 #include "availsim/press/messages.hpp"
 #include "availsim/press/params.hpp"
 #include "availsim/qmon/qmon.hpp"
+#include "availsim/sim/event_fn.hpp"
 #include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/workload/http.hpp"
@@ -113,8 +114,11 @@ class PressNode {
   std::uint64_t coop_mask() const;
 
   /// Runs `fn` on the coordinating thread's CPU after `cost` service time;
-  /// parks it if the main loop cannot run when its turn comes.
-  void schedule_cpu(sim::Time cost, std::function<void()> fn);
+  /// parks it if the main loop cannot run when its turn comes. `fn` rides
+  /// inside the scheduled sim::EventFn; defined in press_node.cpp, its
+  /// only user.
+  template <typename F>
+  void schedule_cpu(sim::Time cost, F fn);
   void drain_paused();
   void drain_backlog();
   void block_main(const char* reason, std::function<bool()> retry);
@@ -210,7 +214,7 @@ class PressNode {
   std::uint64_t next_forward_id_ = 1;
   sim::FlatMap<net::NodeId, sim::Time> last_heartbeat_;
   std::deque<net::Packet> backlog_;
-  std::deque<std::function<void()>> paused_;
+  std::deque<sim::EventFn> paused_;
   sim::Time cpu_free_ = 0;
   sim::Time last_progress_ = 0;
   int active_requests_ = 0;

@@ -16,6 +16,10 @@ namespace availsim::sim {
 /// delivery closure — packet + send options + this — fits) and only falls
 /// back to the heap beyond that. Being move-only, it also accepts
 /// non-copyable captures (e.g. moved-in unique_ptr state).
+///
+/// An EventFn is 112 bytes and every move makes an indirect relocate call,
+/// so the Simulator stores each pending event's EventFn once, in the
+/// event's slot, and its queue moves only 24-byte (t, seq, slot) keys.
 class EventFn {
  public:
   static constexpr std::size_t kInlineSize = 96;

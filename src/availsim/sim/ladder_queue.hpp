@@ -1,22 +1,25 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
-#include "availsim/sim/event_fn.hpp"
 #include "availsim/sim/time.hpp"
 
 namespace availsim::sim {
 
-/// One scheduled event as stored by the queue. `seq` is the global
+/// The queue's key for one scheduled event. `seq` is the global
 /// schedule-order counter: the queue's total order is (t, seq), which
-/// encodes FIFO tie-break at equal timestamps.
+/// encodes FIFO tie-break at equal timestamps. The event's callable is not
+/// here: the Simulator stores it once, in its per-slot storage, so the
+/// ladder's top -> rung -> bottom moves copy 24 bytes and call nothing.
 struct QueuedEvent {
   Time t = 0;
   std::uint64_t seq = 0;   // global schedule order; FIFO tie-break at same t
-  std::uint32_t slot = 0;  // handle slot; generation lives in the Simulator
-  EventFn fn;
+  std::uint32_t slot = 0;  // Simulator slot: generation, flags and callable
 };
+static_assert(std::is_trivially_copyable_v<QueuedEvent>);
+static_assert(sizeof(QueuedEvent) == 24);
 
 /// Ladder-queue priority queue specialised for the simulator's workload:
 /// a huge population of near-future timers (heartbeats, qmon probes, FE

@@ -14,7 +14,7 @@ std::uint32_t Simulator::acquire_slot() {
     slots_[slot].live = true;
     return slot;
   }
-  slots_.push_back(Slot{1, true, false});
+  slots_.emplace_back().live = true;
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -31,7 +31,8 @@ EventId Simulator::schedule_at(Time t, EventFn fn) {
   const std::uint32_t slot = acquire_slot();
   const EventId id =
       (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
-  queue_.push(QueuedEvent{t, next_seq_++, slot, std::move(fn)});
+  slots_[slot].fn = std::move(fn);
+  queue_.push(QueuedEvent{t, next_seq_++, slot});
   return id;
 }
 
@@ -53,7 +54,9 @@ void Simulator::cancel(EventId id) {
 
 void Simulator::purge_cancelled_head() {
   while (QueuedEvent* head = queue_.head()) {
-    if (!slots_[head->slot].cancelled) break;
+    Slot& s = slots_[head->slot];
+    if (!s.cancelled) break;
+    s.fn = EventFn();  // free the tombstone's capture now
     release_slot(head->slot);
     queue_.drop_head();
     --cancelled_pending_;
@@ -63,9 +66,10 @@ void Simulator::purge_cancelled_head() {
 bool Simulator::step() {
   purge_cancelled_head();
   if (queue_.empty()) return false;
-  // The event is moved out before anything else runs so that events
-  // scheduled from inside `fn` are safe.
-  QueuedEvent ev = queue_.pop_head();
+  // The callable is moved out of its slot before it runs: events it
+  // schedules may reuse the slot or grow slots_.
+  const QueuedEvent ev = queue_.pop_head();
+  EventFn fn = std::move(slots_[ev.slot].fn);
   release_slot(ev.slot);
   assert(ev.t >= now_);
   now_ = ev.t;
@@ -74,7 +78,7 @@ bool Simulator::step() {
     tracer_->emit(now_, trace::Category::kSim, trace::Kind::kSimStep, -1,
                   static_cast<std::int64_t>(ev.seq), 0, 0);
   }
-  ev.fn();
+  fn();
   return true;
 }
 

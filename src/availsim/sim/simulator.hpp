@@ -30,9 +30,14 @@ inline constexpr EventId kInvalidEvent = 0;
 /// the exact strict (t, seq) dequeue order of the binary heap it
 /// replaced (golden traces are byte-identical; see DESIGN.md §4e).
 ///
+/// Each event owns a slot for its lifetime. The slot holds the event's
+/// callable, stored once at schedule time; the queue only moves the
+/// 24-byte key {t, seq, slot}.
+///
 /// Cancellation is O(1) via slot+generation handles: cancel() flips a flag
 /// in the event's slot, the queue entry becomes a tombstone that is purged
-/// lazily when it reaches the head, and the slot is recycled afterwards.
+/// lazily when it reaches the head (destroying its callable), and the slot
+/// is recycled afterwards.
 /// Cancelling an already-fired id is an exact no-op (the generation no
 /// longer matches), so stale handles neither accumulate state nor ever
 /// cancel an unrelated newer event.
@@ -90,6 +95,7 @@ class Simulator {
     std::uint32_t generation = 1;  // never 0, so an id is never kInvalidEvent
     bool live = false;
     bool cancelled = false;
+    EventFn fn;  // the pending event's callable; empty once fired or purged
   };
 
   std::uint32_t acquire_slot();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "availsim/net/network.hpp"
 #include "availsim/press/press_node.hpp"
@@ -177,6 +178,27 @@ TEST_F(MiniCluster, HungNodeIsExcludedAndSplintersOnResume) {
   EXPECT_EQ(nodes_[1]->coop_set().size(), 1u);
   // And nobody re-integrates it (no process restart => no rejoin).
   EXPECT_FALSE(nodes_[0]->coop_set().contains(1));
+}
+
+TEST_F(MiniCluster, ParkedCacheHitsAreAnsweredInOrderAfterUnhang) {
+  boot();
+  request(0, 42, 1);  // miss: node 0 reads 42 from disk and caches it
+  sim_.run_until(11 * sim::kSecond);
+  ASSERT_EQ(replies_.size(), 1u);
+  const std::uint64_t served_before = nodes_[0]->stats().served_local_cache;
+  for (std::uint64_t id = 2; id <= 6; ++id) request(0, 42, id);
+  // The requests arrive after one hop (100 us) and queue their parse
+  // steps on the coordinating thread's CPU (400 us each). Hanging the
+  // process before the first step runs parks every one of them.
+  sim_.run_until(sim_.now() + 300 * sim::kMicrosecond);
+  nodes_[0]->hang_process();
+  sim_.run_until(sim_.now() + sim::kSecond);
+  EXPECT_EQ(replies_.size(), 1u);
+  EXPECT_EQ(nodes_[0]->stats().served_local_cache, served_before);
+  nodes_[0]->unhang_process();
+  sim_.run_until(sim_.now() + sim::kSecond);
+  EXPECT_EQ(replies_, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(nodes_[0]->stats().served_local_cache, served_before + 5);
 }
 
 TEST_F(MiniCluster, DeadDiskWedgesTheCoordinatingThread) {

@@ -199,6 +199,47 @@ TEST(Simulator, LargeCapturesFallBackToHeapCorrectly) {
   EXPECT_EQ(sum, 64u * 63u / 2u);
 }
 
+TEST(Simulator, FiredAndPurgedEventsReleaseTheirCaptures) {
+  // The callable lives in the event's slot, not in the queue: firing
+  // destroys it, and so does purging a cancelled tombstone.
+  Simulator sim;
+  auto fired = std::make_shared<int>(1);
+  auto cancelled = std::make_shared<int>(2);
+  sim.schedule_at(kSecond, [fired] {});
+  const EventId id = sim.schedule_at(2 * kSecond, [cancelled] {});
+  EXPECT_EQ(fired.use_count(), 2);
+  EXPECT_EQ(cancelled.use_count(), 2);
+  sim.cancel(id);
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(fired.use_count(), 1);
+  EXPECT_EQ(cancelled.use_count(), 1);
+}
+
+TEST(Simulator, CallbackReadsItsCaptureAfterGrowingSlotStorage) {
+  // The callback schedules enough events to reallocate the simulator's
+  // slot storage, then reads its own capture: step() must have moved the
+  // callable out of that storage before running it.
+  Simulator sim;
+  constexpr int kFanout = 4096;
+  int fanout_ran = 0;
+  std::uint64_t seen = 0;
+  std::array<std::uint64_t, 8> payload{};
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i + 1;
+  auto owned = std::make_unique<std::uint64_t>(1000);
+  sim.schedule_at(kSecond, [&sim, &fanout_ran, &seen, payload,
+                            owned = std::move(owned)] {
+    for (int i = 0; i < kFanout; ++i) {
+      sim.schedule_after(i, [&fanout_ran] { ++fanout_ran; });
+    }
+    for (auto v : payload) seen += v;
+    seen += *owned;
+  });
+  sim.run();
+  EXPECT_EQ(seen, 36u + 1000u);
+  EXPECT_EQ(fanout_ran, kFanout);
+}
+
 TEST(Simulator, CancelInterleavedWithSameTimeEventsKeepsFifoOrder) {
   Simulator sim;
   std::vector<int> order;
