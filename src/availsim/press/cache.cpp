@@ -22,9 +22,8 @@ bool LruCache::touch(workload::FileId file) {
 std::vector<workload::FileId> LruCache::insert(workload::FileId file) {
   std::vector<workload::FileId> evicted;
   if (touch(file)) return evicted;
-  // availlint: hot-ok(LRU recency list needs stable node addresses; bounded by cache capacity)
   lru_.push_front(file);
-  map_[file] = lru_.begin();  // availlint: hot-ok(index entry paired with the list node above)
+  map_[file] = lru_.begin();
   while (map_.size() > capacity_files_) {
     const workload::FileId victim = lru_.back();
     lru_.pop_back();

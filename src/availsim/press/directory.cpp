@@ -5,7 +5,6 @@
 namespace availsim::press {
 
 void Directory::node_caches(net::NodeId node, workload::FileId file) {
-  // availlint: hot-ok(node allocated only on a file's first replica; steady state is find+append)
   auto& nodes = where_[file];
   if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
     nodes.push_back(node);

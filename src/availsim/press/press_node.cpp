@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "availsim/trace/trace.hpp"
 
@@ -358,17 +360,27 @@ void PressNode::reply_to_client(const workload::HttpRequest& request) {
 void PressNode::insert_cache_and_broadcast(workload::FileId file) {
   auto evicted = cache_.insert(file);
   if (!p_.cooperative) return;
+  const std::size_t peers = coop_.size() - (coop_.contains(id()) ? 1 : 0);
+  if (peers == 0) return;
+  // Bodies are immutable, and sending only schedules (load() cannot move
+  // inside the loop), so every peer shares one body per update.
+  const auto inserted =
+      net::make_body<CacheUpdate>(CacheUpdate{file, true, load()});
+  std::vector<std::shared_ptr<const void>> dropped;
+  dropped.reserve(evicted.size());
+  for (workload::FileId ev : evicted) {
+    dropped.push_back(
+        net::make_body<CacheUpdate>(CacheUpdate{ev, false, load()}));
+  }
   // Broadcast in node-id order (FlatSet iteration order): the send order
   // schedules delivery events, so it must be layout-independent.
   for (net::NodeId peer : coop_) {
     if (peer == id()) continue;
     cluster_.send(id(), peer, net::ports::kPressCacheUpdate,
-                  wire::kCacheUpdate,
-                  net::make_body<CacheUpdate>(CacheUpdate{file, true, load()}));
-    for (workload::FileId ev : evicted) {
-      cluster_.send(
-          id(), peer, net::ports::kPressCacheUpdate, wire::kCacheUpdate,
-          net::make_body<CacheUpdate>(CacheUpdate{ev, false, load()}));
+                  wire::kCacheUpdate, inserted);
+    for (const auto& body : dropped) {
+      cluster_.send(id(), peer, net::ports::kPressCacheUpdate,
+                    wire::kCacheUpdate, body);
     }
   }
 }
@@ -636,7 +648,6 @@ qmon::SelfMonitoringQueue& PressNode::sendq(net::NodeId peer) {
   auto it = sendq_.find(peer);
   if (it == sendq_.end()) {
     it = sendq_
-             // availlint: hot-ok(one queue per peer, built on first contact; steady state is the flat-map find above)
              .emplace(peer, std::make_unique<qmon::SelfMonitoringQueue>(
                                 p_.qmon, p_.block_queue_capacity,
                                 p_.forward_window))

@@ -198,8 +198,7 @@ class PressNode {
   // --- application state (reset on restart) ---
   // Flat sorted containers: iteration is in ascending node-id/request-id
   // order by construction, so send loops never see hash order, and the
-  // forward path stops paying a node allocation per insert (see hot-alloc
-  // in tools/availlint).
+  // forward path stops paying a node allocation per insert.
   LruCache cache_;
   Directory dir_;
   sim::FlatSet<net::NodeId> coop_;

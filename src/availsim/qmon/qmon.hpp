@@ -111,7 +111,7 @@ class SelfMonitoringQueue {
   std::deque<Entry> queue_;
   std::size_t queued_requests_ = 0;
   // Flat maps keyed by monotonic request id: appends at the tail, ascending
-  // iteration, no per-transmit node allocation (see hot-alloc lint).
+  // iteration, no per-transmit node allocation.
   sim::FlatMap<std::uint64_t, bool> in_flight_;      // awaiting ack (window)
   sim::FlatMap<std::uint64_t, sim::Time> outstanding_;  // awaiting answer
 };

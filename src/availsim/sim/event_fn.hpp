@@ -37,7 +37,7 @@ class EventFn {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
     } else {
-      D* heap = new D(std::forward<F>(f));  // availlint: hot-ok(cold fallback for captures over kInlineSize; hot-path lambdas fit inline)
+      D* heap = new D(std::forward<F>(f));
       std::memcpy(buf_, &heap, sizeof(heap));
       ops_ = &kHeapOps<D>;
     }

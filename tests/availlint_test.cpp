@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,14 +210,28 @@ TEST(AvailLint, MultiContainerIterationOutsideOrderedDomainIsFine) {
 }
 
 TEST(AvailLint, OrderedOkSuppressionHonoredButNeedsReason) {
-  const auto diags = lint_one("src/availsim/press/counters.cpp",
-                              "unordered_iter_suppressed.cpp.fixture");
+  Engine engine(repo_config());
+  engine.add_file("src/availsim/press/counters.cpp",
+                  fixture("unordered_iter_suppressed.cpp.fixture"));
+  const auto diags = engine.run();
   // Two reasoned suppressions pass; the empty-reason one is a finding.
   EXPECT_EQ(count_rule(diags, "det-unordered-iter"), 1) << dump(diags);
   EXPECT_EQ(count_rule(diags, "det-unordered-iter",
                        "src/availsim/press/counters.cpp", 16),
             1)
       << dump(diags);
+  // Both reasoned suppressions land in the ledger with their reasons; the
+  // blank one does not.
+  std::vector<std::pair<int, std::string>> ledger;
+  for (const auto& s : engine.suppressions()) {
+    EXPECT_EQ(s.file, "src/availsim/press/counters.cpp");
+    EXPECT_EQ(s.rule, "det-unordered-iter");
+    ledger.emplace_back(s.line, s.reason);
+  }
+  const std::vector<std::pair<int, std::string>> expected{
+      {11, "commutative sum; order cannot matter"},
+      {13, "same-line commutative sum"}};
+  EXPECT_EQ(ledger, expected);
 }
 
 TEST(AvailLint, MemberDeclaredInPairedHeaderIsTracked) {
@@ -331,85 +346,13 @@ TEST(AvailLint, IostreamAllowedInHarnessBenchTools) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-path allocation lint (hot-alloc)
+// Self-timing
 // ---------------------------------------------------------------------------
 
-constexpr const char* kPumpCpp = "src/availsim/press/pump.cpp";
-
-// Applies a single-line mutation: replaces `from` (exactly once) with `to`.
-std::string mutate(std::string text, const std::string& from,
-                   const std::string& to) {
-  const std::size_t at = text.find(from);
-  EXPECT_NE(at, std::string::npos) << "mutation anchor missing: " << from;
-  EXPECT_EQ(text.find(from, at + 1), std::string::npos)
-      << "mutation anchor ambiguous: " << from;
-  text.replace(at, from.size(), to);
-  return text;
-}
-
-TEST(AvailLintHot, ReachableAllocationsFlaggedColdAndPlacementSilent) {
-  const auto diags = lint_one(kPumpCpp, "hot_alloc_bad.cpp.fixture");
-  // new in the helper (reachable via pump_queue), make_unique in
-  // pump_queue, operator[] and emplace on the node-based map in route.
-  EXPECT_EQ(count_rule(diags, "hot-alloc"), 4) << dump(diags);
-  // cold_setup's make_unique (not reachable) and the placement new in
-  // pump_queue (no heap) stay silent: exactly one make_unique finding.
-  int make_unique_findings = 0;
-  for (const Diagnostic& d : diags) {
-    if (d.message.find("make_unique") != std::string::npos) {
-      ++make_unique_findings;
-    }
-  }
-  EXPECT_EQ(make_unique_findings, 1) << dump(diags);
-}
-
-TEST(AvailLintHot, HotOkSuppressesWithReasonAndLedgers) {
+TEST(AvailLint, PassTimingsCoverEveryPass) {
   Engine engine(repo_config());
-  engine.add_file(kPumpCpp,
-                  mutate(fixture("hot_alloc_bad.cpp.fixture"),
-                         "  auto q = std::make_unique<int>(3);",
-                         "  auto q = std::make_unique<int>(3);  // availlint: "
-                         "hot-ok(pooled upstream)"));
-  const auto diags = engine.run();
-  EXPECT_EQ(count_rule(diags, "hot-alloc"), 3) << dump(diags);
-  bool ledgered = false;
-  for (const auto& s : engine.suppressions()) {
-    if (s.rule == "hot-alloc" && s.reason == "pooled upstream") ledgered = true;
-  }
-  EXPECT_TRUE(ledgered);
-}
-
-TEST(AvailLintHot, BlankHotOkReasonIsRejected) {
-  const auto diags = lint_one(
-      kPumpCpp, "hot_alloc_bad.cpp.fixture");
-  Engine engine(repo_config());
-  engine.add_file(kPumpCpp,
-                  mutate(fixture("hot_alloc_bad.cpp.fixture"),
-                         "  auto q = std::make_unique<int>(3);",
-                         "  auto q = std::make_unique<int>(3);  // availlint: "
-                         "hot-ok()"));
-  const auto blank = engine.run();
-  // The finding count does not drop: the blank suppression itself fails.
-  EXPECT_EQ(count_rule(blank, "hot-alloc"), count_rule(diags, "hot-alloc"))
-      << dump(blank);
-  bool reason_diag = false;
-  for (const Diagnostic& d : blank) {
-    if (d.message.find("must give a reason") != std::string::npos) {
-      reason_diag = true;
-    }
-  }
-  EXPECT_TRUE(reason_diag) << dump(blank);
-}
-
-TEST(AvailLintHot, OutsideHotDomainIsSilent) {
-  const auto diags =
-      lint_one("src/availsim/model/pump.cpp", "hot_alloc_bad.cpp.fixture");
-  EXPECT_EQ(count_rule(diags, "hot-alloc"), 0) << dump(diags);
-}
-
-TEST(AvailLintHot, PassTimingsCoverEveryPass) {
-  Engine engine(repo_config());
-  engine.add_file(kPumpCpp, fixture("hot_alloc_bad.cpp.fixture"));
+  engine.add_file("src/availsim/press/table.cpp",
+                  fixture("unordered_iter_bad.cpp.fixture"));
   (void)engine.run();
   std::vector<std::string> names;
   for (const auto& [name, ms] : engine.pass_timings()) {
@@ -417,8 +360,8 @@ TEST(AvailLintHot, PassTimingsCoverEveryPass) {
     EXPECT_GE(ms, 0.0);
   }
   const std::vector<std::string> expected{
-      "layer-table", "banned-tokens", "unordered-iter", "layering",
-      "hygiene",     "hot-alloc",     "include-cycles"};
+      "layer-table", "banned-tokens", "unordered-iter",
+      "layering",    "hygiene",       "include-cycles"};
   EXPECT_EQ(names, expected);
 }
 

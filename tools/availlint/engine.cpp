@@ -88,15 +88,12 @@ TagState find_tag(const std::string& comment, const std::string& tag,
   return TagState::kReasoned;
 }
 
-constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
 }  // namespace
 
 void Engine::add_file(const std::string& path, const std::string& text) {
   FileEntry e;
   e.path = path;
   e.lex = lex(text);
-  e.structure = parse_structure(e.lex);
   e.is_header = is_header_path(path);
   by_path_[path] = files_.size();
   files_.push_back(std::move(e));
@@ -152,7 +149,6 @@ std::vector<Diagnostic> Engine::run() {
   timed("hygiene", [&] {
     for (const FileEntry& f : files_) check_hygiene(f);
   });
-  timed("hot-alloc", [&] { check_hot_alloc(); });
   timed("include-cycles", [&] { check_include_cycles(); });
 
   auto order = [](const auto& a, const auto& b) {
@@ -524,148 +520,6 @@ void Engine::check_hygiene(const FileEntry& f) {
              "std::" + toks[i + 2].text +
                  " outside harness/bench/tools (library code must not "
                  "write to the console)");
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// hot-alloc
-// ---------------------------------------------------------------------------
-
-void Engine::check_hot_alloc() {
-  if (cfg_.hot_paths.empty()) return;
-  const std::vector<std::string>& domains = cfg_.hot_domains;
-
-  // Function table over the hot domains.  Reachability is name-based and
-  // deliberately over-approximate: any identifier followed by '(' inside a
-  // reachable body marks every same-named function reachable.
-  struct Fn {
-    std::size_t file = 0;
-    const FunctionDef* def = nullptr;
-    bool reachable = false;
-  };
-  std::vector<Fn> fns;
-  std::map<std::string, std::vector<std::size_t>> by_bare;
-  std::map<std::string, std::vector<std::size_t>> by_qual;
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    if (!under_any(files_[fi].path, domains)) continue;
-    for (const FunctionDef& fn : files_[fi].structure.functions) {
-      const std::size_t idx = fns.size();
-      fns.push_back(Fn{fi, &fn, false});
-      by_bare[fn.name].push_back(idx);
-      if (!fn.class_name.empty()) {
-        by_qual[fn.class_name + "::" + fn.name].push_back(idx);
-      }
-    }
-  }
-
-  // Seed the roster.  "Class::fn" pins the class; a bare name marks every
-  // function with that name.
-  std::vector<std::size_t> work;
-  auto mark = [&](std::size_t idx) {
-    if (!fns[idx].reachable) {
-      fns[idx].reachable = true;
-      work.push_back(idx);
-    }
-  };
-  for (const std::string& root : cfg_.hot_paths) {
-    auto qit = by_qual.find(root);
-    if (qit != by_qual.end()) {
-      for (std::size_t idx : qit->second) mark(idx);
-      continue;
-    }
-    auto bit = by_bare.find(root);
-    if (bit != by_bare.end()) {
-      for (std::size_t idx : bit->second) mark(idx);
-    }
-  }
-
-  // BFS over call edges.
-  while (!work.empty()) {
-    const Fn fn = fns[work.back()];
-    work.pop_back();
-    const auto& toks = files_[fn.file].lex.tokens;
-    const std::size_t end = std::min(fn.def->body_end, toks.size());
-    for (std::size_t j = fn.def->body_begin; j < end; ++j) {
-      if (!toks[j].is_identifier) continue;
-      if (j + 1 >= toks.size() || toks[j + 1].text != "(") continue;
-      auto it = by_bare.find(toks[j].text);
-      if (it == by_bare.end()) continue;
-      for (std::size_t idx : it->second) mark(idx);
-    }
-  }
-
-  // Node-container member fields per class, for insertion detection.
-  std::map<std::string, std::map<std::string, bool>> node_fields;
-  for (const FileEntry& f : files_) {
-    if (!under_any(f.path, domains)) continue;
-    for (const ClassInfo& cls : f.structure.classes) {
-      for (const FieldInfo& fld : cls.fields) {
-        if (fld.node_container) {
-          node_fields[cls.name][fld.name] = fld.map_like;
-        }
-      }
-    }
-  }
-
-  static const std::set<std::string> inserters = {
-      "insert",       "emplace",       "emplace_hint", "try_emplace",
-      "push_back",    "push_front",    "emplace_back", "emplace_front"};
-
-  for (const Fn& fn : fns) {
-    if (!fn.reachable) continue;
-    const FileEntry& f = files_[fn.file];
-    const auto& toks = f.lex.tokens;
-    const std::size_t end = std::min(fn.def->body_end, toks.size());
-    const std::string qual = fn.def->class_name.empty()
-                                 ? fn.def->name
-                                 : fn.def->class_name + "::" + fn.def->name;
-    const auto* fields = [&]() -> const std::map<std::string, bool>* {
-      auto it = node_fields.find(fn.def->class_name);
-      return it == node_fields.end() ? nullptr : &it->second;
-    }();
-
-    auto report = [&](int line, const std::string& what) {
-      if (this->suppressed(f, line, "hot-ok", "hot-alloc")) return;
-      diag(f.path, line, "hot-alloc",
-           what + " in '" + qual +
-               "', which is reachable from the hot-path roster; hoist or "
-               "pool the allocation, use a flat container, or annotate the "
-               "line with \"availlint: hot-ok(<reason>)\"");
-    };
-
-    for (std::size_t j = fn.def->body_begin; j < end; ++j) {
-      const Token& t = toks[j];
-      if (!t.is_identifier) continue;
-      const std::string& prev =
-          j > fn.def->body_begin ? toks[j - 1].text : std::string();
-      const std::string& next =
-          j + 1 < toks.size() ? toks[j + 1].text : std::string();
-      if (prev == "." || prev == "->" || prev == "operator") continue;
-
-      if (t.text == "new") {
-        // `new (addr) T` is placement new: it constructs into existing
-        // storage and allocates nothing. Only plain `new T` hits the heap.
-        if (next != "(") report(t.line, "heap allocation ('new')");
-      } else if ((t.text == "make_unique" || t.text == "make_shared") &&
-                 (next == "<" || next == "(")) {
-        report(t.line, "heap allocation ('std::" + t.text + "')");
-      } else if (t.text == "function" && prev == "::" &&
-                 j >= 2 && toks[j - 2].text == "std") {
-        report(t.line,
-               "std::function construction (heap-allocating, type-erased)");
-      } else if (fields != nullptr) {
-        auto fit = fields->find(t.text);
-        if (fit == fields->end()) continue;
-        if ((next == "." || next == "->") && j + 3 < toks.size() &&
-            inserters.count(toks[j + 2].text) && toks[j + 3].text == "(") {
-          report(t.line, "node-based container insertion ('" + t.text +
-                             next + toks[j + 2].text + "')");
-        } else if (next == "[" && fit->second) {
-          report(t.line, "map operator[] ('" + t.text +
-                             "') — default-inserts a node on every miss");
-        }
       }
     }
   }

@@ -17,11 +17,6 @@
 //                       unordered_{map,set} inside ordered-domain paths,
 //                       unless the for's line carries
 //                       "availlint: ordered-ok(<reason>)"
-//   hot-alloc           heap allocation (new/make_unique/make_shared),
-//                       std::function construction, or node-based
-//                       container insertion inside a function reachable
-//                       from the hot-path roster, unless the line carries
-//                       "availlint: hot-ok(<reason>)"
 //   layer-dep           #include edge not in the declared layer table
 //   layer-cycle         cycle in the declared header-layer graph or in
 //                       the actual file-level include graph
@@ -36,7 +31,6 @@
 
 #include "lexer.hpp"
 #include "rules.hpp"
-#include "structure.hpp"
 
 namespace availlint {
 
@@ -89,7 +83,6 @@ class Engine {
   struct FileEntry {
     std::string path;
     LexedFile lex;
-    FileStructure structure;
     bool is_header = false;
   };
 
@@ -99,7 +92,6 @@ class Engine {
   void check_hygiene(const FileEntry& f);
   void check_layer_table_acyclic();
   void check_include_cycles();
-  void check_hot_alloc();
 
   void diag(const std::string& file, int line, const std::string& rule,
             const std::string& message);

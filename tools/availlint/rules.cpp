@@ -100,14 +100,6 @@ bool parse_rules(const std::string& text, Config* out, std::string* error) {
       std::string prefix;
       if (!(ls >> prefix)) return fail("exempt-layering needs a prefix");
       out->exempt_layering.push_back(prefix);
-    } else if (directive == "hot-path") {
-      std::string name;
-      if (!(ls >> name)) return fail("hot-path needs a function name");
-      out->hot_paths.push_back(name);
-    } else if (directive == "hot-domain") {
-      std::string prefix;
-      if (!(ls >> prefix)) return fail("hot-domain needs a prefix");
-      out->hot_domains.push_back(prefix);
     } else {
       return fail("unknown directive: " + directive);
     }

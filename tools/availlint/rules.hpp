@@ -15,9 +15,6 @@
 //   ordered-domain <path-prefix>  det-unordered-iter applies under these
 //   forbid-function <path-prefix> det-std-function applies under these
 //   exempt-layering <path-prefix> files exempt from layer checks
-//   hot-path <name>               hot-alloc roster root: a function name,
-//                                 optionally qualified (Class::method)
-//   hot-domain <path-prefix>      hot-alloc findings reported under these
 
 #include <map>
 #include <set>
@@ -42,8 +39,6 @@ struct Config {
   std::vector<std::string> ordered_domains;
   std::vector<std::string> forbid_function;
   std::vector<std::string> exempt_layering;
-  std::vector<std::string> hot_paths;
-  std::vector<std::string> hot_domains;
 
   // Longest matching declared layer for a repo-relative path, or "".
   std::string layer_of(const std::string& path) const;
