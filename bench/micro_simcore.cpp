@@ -223,9 +223,9 @@ double timer_churn_ops_per_second(std::size_t pending_target, int rounds,
 // Ceiling on the serial mini campaign's heap allocations per simulated
 // event (campaign_allocs_per_event). The count is exact and repeatable, so
 // a new allocation per request or per packet on a path the campaign runs
-// lifts it past this bound. Set 5% above the --quick reading of 1.333;
-// the full run reads 1.199.
-constexpr double kMaxAllocsPerEvent = 1.39;
+// lifts it past this bound. Set 5% above the --quick reading of 1.067;
+// the full run reads 1.017.
+constexpr double kMaxAllocsPerEvent = 1.12;
 
 struct ReplicaResult {
   double availability = 0;

@@ -5,41 +5,73 @@
 
 namespace availsim::press {
 
-LruCache::LruCache(std::size_t capacity_bytes, std::size_t file_bytes)
-    : capacity_files_(std::max<std::size_t>(1, capacity_bytes / file_bytes)) {}
+LruCache::LruCache(std::size_t capacity_bytes, std::size_t file_bytes,
+                   std::size_t files)
+    : capacity_files_(std::max<std::size_t>(1, capacity_bytes / file_bytes)),
+      links_(files) {}
 
 bool LruCache::contains(workload::FileId file) const {
-  return map_.contains(file);
+  const auto i = static_cast<std::size_t>(file);
+  return i < links_.size() && links_[i].prev != kAbsent;
 }
 
 bool LruCache::touch(workload::FileId file) {
-  auto it = map_.find(file);
-  if (it == map_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
+  if (!contains(file)) return false;
+  if (file != head_) {
+    unlink(file);
+    push_front(file);
+  }
   return true;
 }
 
 std::vector<workload::FileId> LruCache::insert(workload::FileId file) {
+  assert(file >= 0);
   std::vector<workload::FileId> evicted;
   if (touch(file)) return evicted;
-  lru_.push_front(file);
-  map_[file] = lru_.begin();
-  while (map_.size() > capacity_files_) {
-    const workload::FileId victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
+  if (static_cast<std::size_t>(file) >= links_.size()) {
+    links_.resize(static_cast<std::size_t>(file) + 1);
+  }
+  push_front(file);
+  if (++size_ > capacity_files_) {
+    const workload::FileId victim = tail_;
+    unlink(victim);
+    at(victim).prev = kAbsent;
+    --size_;
     evicted.push_back(victim);
   }
   return evicted;
 }
 
 void LruCache::clear() {
-  lru_.clear();
-  map_.clear();
+  for (workload::FileId f = head_; f != kNil;) {
+    Link& l = at(f);
+    f = l.next;
+    l = Link{};
+  }
+  head_ = tail_ = kNil;
+  size_ = 0;
 }
 
 std::vector<workload::FileId> LruCache::resident() const {
-  return {lru_.begin(), lru_.end()};
+  std::vector<workload::FileId> files;
+  files.reserve(size_);
+  for (workload::FileId f = head_; f != kNil;) {
+    files.push_back(f);
+    f = links_[static_cast<std::size_t>(f)].next;
+  }
+  return files;
+}
+
+void LruCache::unlink(workload::FileId file) {
+  const Link l = at(file);
+  (l.prev == kNil ? head_ : at(l.prev).next) = l.next;
+  (l.next == kNil ? tail_ : at(l.next).prev) = l.prev;
+}
+
+void LruCache::push_front(workload::FileId file) {
+  at(file) = Link{kNil, head_};
+  (head_ == kNil ? tail_ : at(head_).prev) = file;
+  head_ = file;
 }
 
 }  // namespace availsim::press

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "availsim/workload/fileset.hpp"
@@ -10,9 +8,17 @@ namespace availsim::press {
 
 /// In-memory LRU file cache of one PRESS node. All files are the same size
 /// (uniform-27KB workload), so capacity is expressed in whole files.
+///
+/// File ids are dense, so the recency list is intrusive: a table indexed by
+/// file id holds each resident file's {prev, next} neighbours. Touch,
+/// insert and eviction are O(1) array updates with no hashing and no node
+/// allocation.
 class LruCache {
  public:
-  LruCache(std::size_t capacity_bytes, std::size_t file_bytes);
+  /// `files` sizes the table for ids [0, files) up front; an id past the
+  /// end grows it on insert.
+  LruCache(std::size_t capacity_bytes, std::size_t file_bytes,
+           std::size_t files = 0);
 
   bool contains(workload::FileId file) const;
 
@@ -24,19 +30,34 @@ class LruCache {
   /// Inserting a resident file just touches it.
   std::vector<workload::FileId> insert(workload::FileId file);
 
+  /// Empties the cache; the table keeps its size.
   void clear();
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_files_; }
 
-  /// Snapshot of resident files (sent to a rejoining peer).
+  /// Snapshot of resident files, MRU first (sent to a rejoining peer).
   std::vector<workload::FileId> resident() const;
 
  private:
+  static constexpr workload::FileId kNil = -1;     // list end
+  static constexpr workload::FileId kAbsent = -2;  // prev of a non-resident
+  struct Link {
+    workload::FileId prev = kAbsent;
+    workload::FileId next = kNil;
+  };
+
+  Link& at(workload::FileId file) {
+    return links_[static_cast<std::size_t>(file)];
+  }
+  void unlink(workload::FileId file);
+  void push_front(workload::FileId file);
+
   std::size_t capacity_files_;
-  std::list<workload::FileId> lru_;  // front = MRU
-  std::unordered_map<workload::FileId, std::list<workload::FileId>::iterator>
-      map_;
+  std::vector<Link> links_;  // indexed by file id
+  workload::FileId head_ = kNil;  // MRU
+  workload::FileId tail_ = kNil;  // LRU
+  std::size_t size_ = 0;
 };
 
 }  // namespace availsim::press

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "availsim/net/packet.hpp"
@@ -17,6 +17,10 @@ namespace availsim::press {
 /// paper measures.
 class Directory {
  public:
+  /// `files` sizes the per-file table for ids [0, files) up front; an id
+  /// past the end grows it when a node announces it.
+  explicit Directory(std::size_t files = 0) : head_(files, kNil) {}
+
   void node_caches(net::NodeId node, workload::FileId file);
   void node_evicts(net::NodeId node, workload::FileId file);
   void set_load(net::NodeId node, int load);
@@ -30,7 +34,8 @@ class Directory {
                         const std::vector<workload::FileId>& files);
 
   /// The least-loaded member of `coop` believed to cache `file`; nullopt
-  /// when no cooperating peer caches it.
+  /// when no cooperating peer caches it. Load ties go to the node that
+  /// announced the file first.
   std::optional<net::NodeId> best_service_node(
       workload::FileId file, const sim::FlatSet<net::NodeId>& coop) const;
 
@@ -38,10 +43,30 @@ class Directory {
   std::size_t files_known_for(net::NodeId node) const;
 
  private:
-  // file -> caching nodes. Vectors stay tiny (few replicas per file).
-  // Stays a hash map: the file-id key space is large and churny, where a
-  // flat sorted vector would shift thousands of entries per new file.
-  std::unordered_map<workload::FileId, std::vector<net::NodeId>> where_;
+  static constexpr std::int32_t kNil = -1;
+  // One peer caching one file: a cell of the shared pool, linked to the
+  // file's next replica.
+  struct Replica {
+    net::NodeId node;
+    std::int32_t next;
+  };
+
+  Replica& cell(std::int32_t c) {
+    return cells_[static_cast<std::size_t>(c)];
+  }
+  const Replica& cell(std::int32_t c) const {
+    return cells_[static_cast<std::size_t>(c)];
+  }
+  std::int32_t first(workload::FileId file) const;
+  void erase(std::size_t file, net::NodeId node);
+
+  // File id -> its first replica cell (kNil: no peer known to cache it).
+  // Each file's replicas chain through cells_ in announcement order. An
+  // evicted cell goes on the free list that starts at free_, so a re-cache
+  // reuses it instead of allocating.
+  std::vector<std::int32_t> head_;
+  std::vector<Replica> cells_;
+  std::int32_t free_ = kNil;
   // node -> last piggybacked load; cluster-sized, scanned per forward.
   sim::FlatMap<net::NodeId, int> loads_;
 };

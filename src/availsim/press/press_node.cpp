@@ -35,7 +35,8 @@ PressNode::PressNode(sim::Simulator& simulator, net::Network& cluster_net,
       files_(files),
       configured_(std::move(configured_nodes)),
       disks_(std::move(disks)),
-      cache_(params.cache_bytes, params.file_bytes) {
+      cache_(params.cache_bytes, params.file_bytes,
+             static_cast<std::size_t>(files.count)) {
   assert(!disks_.empty());
 }
 
@@ -51,7 +52,7 @@ void PressNode::start(bool prewarm) {
   blocked_ = false;
   block_retry_ = nullptr;
   cache_.clear();
-  dir_ = Directory{};
+  dir_ = Directory(static_cast<std::size_t>(files_.count));
   coop_.clear();
   sendq_.clear();
   forwards_.clear();
@@ -884,7 +885,7 @@ void PressNode::exclude_node(net::NodeId target) {
     coop_.insert(id());
     trace::emit(sim_, Category::kPress, Kind::kPressSelfExclude, id(), 0,
                 static_cast<std::int64_t>(coop_mask()));
-    dir_ = Directory{};
+    dir_ = Directory(static_cast<std::size_t>(files_.count));
     last_heartbeat_.clear();
     if (blocked_) try_unblock();
     return;

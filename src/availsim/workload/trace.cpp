@@ -40,6 +40,7 @@ std::optional<Trace> Trace::load(const std::string& path) {
   FileId file = 0;
   sim::Time last = -1;
   while (in >> us >> file) {
+    if (file < 0) return std::nullopt;  // corrupt: file ids are [0, count)
     const sim::Time at = us * sim::kMicrosecond;
     if (at < last) return std::nullopt;  // corrupt: not time-ordered
     last = at;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "alloc_counter.hpp"
 #include "availsim/press/cache.hpp"
 #include "availsim/press/directory.hpp"
 #include "availsim/qmon/qmon.hpp"
@@ -66,8 +69,20 @@ TEST(LruCache, ClearEmpties) {
 TEST(LruCache, ResidentListsAllFiles) {
   LruCache c(10 * 100, 100);
   for (int i = 0; i < 5; ++i) c.insert(i);
-  auto res = c.resident();
-  EXPECT_EQ(res.size(), 5u);
+  c.touch(2);
+  // MRU first: the snapshot order becomes the receiver's directory order.
+  EXPECT_EQ(c.resident(), (std::vector<workload::FileId>{2, 4, 3, 1, 0}));
+}
+
+TEST(LruCache, IdPastTheTableGrowsIt) {
+  LruCache c(3 * 100, 100, 4);  // table sized for ids [0, 4)
+  EXPECT_FALSE(c.touch(40));
+  EXPECT_FALSE(c.contains(40));
+  EXPECT_TRUE(c.insert(40).empty());
+  EXPECT_TRUE(c.contains(40));
+  c.insert(1);
+  c.insert(2);
+  EXPECT_EQ(c.insert(3), std::vector<workload::FileId>{40});
 }
 
 TEST(LruCache, MinimumCapacityOneFile) {
@@ -136,6 +151,49 @@ TEST(Directory, SnapshotInstall) {
   d.install_snapshot(3, {1, 2, 3, 4});
   EXPECT_EQ(d.files_known_for(3), 4u);
   EXPECT_TRUE(d.node_caches_file(3, 2));
+}
+
+TEST(Directory, LoadTieGoesToFirstAnnouncer) {
+  Directory d;
+  d.node_caches(3, 7);
+  d.node_caches(1, 7);
+  d.node_caches(2, 7);
+  d.set_load(1, 4);
+  d.set_load(2, 4);
+  d.set_load(3, 4);
+  sim::FlatSet<net::NodeId> coop{0, 1, 2, 3};
+  EXPECT_EQ(d.best_service_node(7, coop), 3);
+}
+
+TEST(Directory, RecacheMovesNodeToBackOfReplicaOrder) {
+  Directory d;
+  d.node_caches(1, 7);
+  d.node_caches(2, 7);
+  d.node_evicts(1, 7);
+  d.node_caches(1, 7);  // now announced after node 2
+  sim::FlatSet<net::NodeId> coop{1, 2};
+  EXPECT_EQ(d.best_service_node(7, coop), 2);
+}
+
+TEST(Directory, RecacheAfterLastReplicaLeftDoesNotAllocate) {
+  Directory d(100);
+  d.node_caches(1, 7);
+  d.node_evicts(1, 7);
+  EXPECT_FALSE(d.node_caches_file(1, 7));
+  const auto before = bench::heap_allocations();
+  d.node_caches(1, 7);
+  const auto after = bench::heap_allocations();
+  EXPECT_EQ(after, before) << "re-cache allocated";
+  EXPECT_TRUE(d.node_caches_file(1, 7));
+}
+
+TEST(Directory, FileIdPastTheTable) {
+  Directory d(4);
+  sim::FlatSet<net::NodeId> coop{1};
+  EXPECT_FALSE(d.best_service_node(40, coop).has_value());
+  d.node_evicts(1, 40);  // unknown file: no-op
+  d.node_caches(1, 40);
+  EXPECT_EQ(d.best_service_node(40, coop), 1);
 }
 
 TEST(Directory, DuplicateCacheAnnouncementIsIdempotent) {

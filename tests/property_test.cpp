@@ -2,7 +2,10 @@
 // fuzzed data-structure behaviour.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+#include <vector>
 
 #include "availsim/fault/injector.hpp"
 #include "availsim/harness/experiment.hpp"
@@ -230,35 +233,125 @@ TEST(Property, LruCacheNeverExceedsCapacityUnderFuzz) {
   EXPECT_GE(inserted, evicted);
 }
 
+// Reference LRU: the textbook list + hash map, front = MRU.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool contains(workload::FileId f) const { return map_.contains(f); }
+
+  bool touch(workload::FileId f) {
+    auto it = map_.find(f);
+    if (it == map_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return true;
+  }
+
+  std::vector<workload::FileId> insert(workload::FileId f) {
+    std::vector<workload::FileId> evicted;
+    if (touch(f)) return evicted;
+    lru_.push_front(f);
+    map_[f] = lru_.begin();
+    while (map_.size() > capacity_) {
+      evicted.push_back(lru_.back());
+      map_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    return evicted;
+  }
+
+  void clear() {
+    lru_.clear();
+    map_.clear();
+  }
+
+  std::size_t size() const { return map_.size(); }
+  std::vector<workload::FileId> resident() const {
+    return {lru_.begin(), lru_.end()};
+  }
+
+ private:
+  std::size_t capacity_;
+  std::list<workload::FileId> lru_;
+  std::unordered_map<workload::FileId, std::list<workload::FileId>::iterator>
+      map_;
+};
+
+TEST(Property, LruCacheMatchesReferenceModelUnderFuzz) {
+  for (std::uint64_t seed : {3u, 17u, 101u}) {
+    sim::Rng rng(seed);
+    // Capacity 20 over 60 ids; the table starts short of the id range, so
+    // inserts past its end grow it mid-run.
+    press::LruCache cache(20 * 100, 100, 32);
+    ReferenceLru model(20);
+    for (int i = 0; i < 20000; ++i) {
+      const auto f = static_cast<workload::FileId>(rng.uniform_int(0, 59));
+      const auto op = rng.uniform_int(0, 999);
+      if (op < 450) {
+        ASSERT_EQ(cache.touch(f), model.touch(f)) << "seed " << seed;
+      } else if (op < 998) {
+        ASSERT_EQ(cache.insert(f), model.insert(f)) << "seed " << seed;
+      } else {
+        cache.clear();
+        model.clear();
+      }
+      ASSERT_EQ(cache.size(), model.size());
+      ASSERT_EQ(cache.contains(f), model.contains(f));
+      if (i % 97 == 0) {
+        ASSERT_EQ(cache.resident(), model.resident());
+      }
+    }
+    EXPECT_EQ(cache.resident(), model.resident());
+  }
+}
+
 TEST(Property, DirectoryConsistentUnderFuzz) {
   sim::Rng rng(7);
-  press::Directory dir;
-  // Model of truth: per-node sets.
-  std::vector<std::set<workload::FileId>> truth(4);
+  press::Directory dir(64);  // ids 64..99 grow the table mid-run
+  // Model of truth: per-file replica lists in announcement order.
+  std::vector<std::vector<net::NodeId>> truth(100);
+  // With equal loads the best service node is the first announcer in coop.
+  const sim::FlatSet<net::NodeId> coop{1, 2, 3};
+  const auto check = [&] {
+    for (int n = 0; n < 4; ++n) {
+      std::size_t known = 0;
+      for (const auto& v : truth) known += std::count(v.begin(), v.end(), n);
+      ASSERT_EQ(dir.files_known_for(n), known);
+    }
+    for (workload::FileId f = 0; f < 100; ++f) {
+      const auto& nodes = truth[static_cast<size_t>(f)];
+      for (int n = 0; n < 4; ++n) {
+        ASSERT_EQ(dir.node_caches_file(n, f),
+                  std::find(nodes.begin(), nodes.end(), n) != nodes.end());
+      }
+      const auto first = std::find_if(nodes.begin(), nodes.end(),
+                                      [&](auto n) { return coop.contains(n); });
+      ASSERT_EQ(dir.best_service_node(f, coop),
+                first == nodes.end() ? std::nullopt
+                                     : std::optional<net::NodeId>(*first))
+          << "file " << f;
+    }
+  };
   for (int i = 0; i < 20000; ++i) {
     const int node = static_cast<int>(rng.uniform_int(0, 3));
     const auto f = static_cast<workload::FileId>(rng.uniform_int(0, 99));
-    switch (rng.uniform_int(0, 2)) {
-      case 0:
-        dir.node_caches(node, f);
-        truth[static_cast<size_t>(node)].insert(f);
-        break;
-      case 1:
-        dir.node_evicts(node, f);
-        truth[static_cast<size_t>(node)].erase(f);
-        break;
-      case 2:
-        dir.remove_node(node);
-        truth[static_cast<size_t>(node)].clear();
-        break;
+    auto& nodes = truth[static_cast<size_t>(f)];
+    const auto op = rng.uniform_int(0, 19);
+    if (op == 0) {
+      dir.remove_node(node);
+      for (auto& v : truth) std::erase(v, node);
+    } else if (op < 10) {
+      dir.node_evicts(node, f);
+      std::erase(nodes, node);
+    } else {
+      dir.node_caches(node, f);
+      if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
+        nodes.push_back(node);
+      }
     }
+    if (i % 500 == 0) check();
   }
-  for (int n = 0; n < 4; ++n) {
-    EXPECT_EQ(dir.files_known_for(n), truth[static_cast<size_t>(n)].size());
-    for (auto f : truth[static_cast<size_t>(n)]) {
-      EXPECT_TRUE(dir.node_caches_file(n, f));
-    }
-  }
+  check();
 }
 
 TEST(Property, BestServiceNodeAlwaysReturnsCachingCoopMember) {

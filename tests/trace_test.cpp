@@ -54,6 +54,15 @@ TEST(Trace, LoadRejectsCorruptFiles) {
   EXPECT_FALSE(Trace::load("/nonexistent/trace").has_value());
 }
 
+TEST(Trace, LoadRejectsNegativeFileId) {
+  // File ids index the PRESS cache and directory tables directly.
+  const std::string path = "/tmp/availsim_trace_negative.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fputs("100 5\n200 -3\n300 7\n", f);
+  std::fclose(f);
+  EXPECT_FALSE(Trace::load(path).has_value());
+}
+
 class TraceClientFixture : public ::testing::Test {
  protected:
   TraceClientFixture() : net_(sim_, sim::Rng(1), params()) {
