@@ -24,22 +24,19 @@ bool LruCache::touch(workload::FileId file) {
   return true;
 }
 
-std::vector<workload::FileId> LruCache::insert(workload::FileId file) {
+LruCache::Evicted LruCache::insert(workload::FileId file) {
   assert(file >= 0);
-  std::vector<workload::FileId> evicted;
-  if (touch(file)) return evicted;
+  if (touch(file)) return Evicted();
   if (static_cast<std::size_t>(file) >= links_.size()) {
     links_.resize(static_cast<std::size_t>(file) + 1);
   }
   push_front(file);
-  if (++size_ > capacity_files_) {
-    const workload::FileId victim = tail_;
-    unlink(victim);
-    at(victim).prev = kAbsent;
-    --size_;
-    evicted.push_back(victim);
-  }
-  return evicted;
+  if (++size_ <= capacity_files_) return Evicted();
+  const workload::FileId victim = tail_;
+  unlink(victim);
+  at(victim).prev = kAbsent;
+  --size_;
+  return Evicted(victim);
 }
 
 void LruCache::clear() {

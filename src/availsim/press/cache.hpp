@@ -25,10 +25,26 @@ class LruCache {
   /// Marks `file` most-recently-used; returns whether it was present.
   bool touch(workload::FileId file);
 
+  /// The files one insert() evicted. Capacity is in whole files, so that
+  /// is none or one: a range of at most one id, held by value.
+  class Evicted {
+   public:
+    Evicted() = default;
+    explicit Evicted(workload::FileId file) : file_(file), size_(1) {}
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const workload::FileId* begin() const { return &file_; }
+    const workload::FileId* end() const { return &file_ + size_; }
+
+   private:
+    workload::FileId file_ = kNil;
+    std::size_t size_ = 0;
+  };
+
   /// Inserts `file` (MRU). Returns the files evicted to make room (each
   /// eviction must be broadcast to keep peer directories coherent).
   /// Inserting a resident file just touches it.
-  std::vector<workload::FileId> insert(workload::FileId file);
+  Evicted insert(workload::FileId file);
 
   /// Empties the cache; the table keeps its size.
   void clear();

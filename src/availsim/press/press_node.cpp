@@ -359,7 +359,7 @@ void PressNode::reply_to_client(const workload::HttpRequest& request) {
 }
 
 void PressNode::insert_cache_and_broadcast(workload::FileId file) {
-  auto evicted = cache_.insert(file);
+  const LruCache::Evicted evicted = cache_.insert(file);
   if (!p_.cooperative) return;
   const std::size_t peers = coop_.size() - (coop_.contains(id()) ? 1 : 0);
   if (peers == 0) return;
@@ -367,11 +367,10 @@ void PressNode::insert_cache_and_broadcast(workload::FileId file) {
   // inside the loop), so every peer shares one body per update.
   const auto inserted =
       net::make_body<CacheUpdate>(CacheUpdate{file, true, load()});
-  std::vector<std::shared_ptr<const void>> dropped;
-  dropped.reserve(evicted.size());
+  // An insert evicts at most one file (LruCache::Evicted).
+  std::shared_ptr<const void> dropped;
   for (workload::FileId ev : evicted) {
-    dropped.push_back(
-        net::make_body<CacheUpdate>(CacheUpdate{ev, false, load()}));
+    dropped = net::make_body<CacheUpdate>(CacheUpdate{ev, false, load()});
   }
   // Broadcast in node-id order (FlatSet iteration order): the send order
   // schedules delivery events, so it must be layout-independent.
@@ -379,9 +378,9 @@ void PressNode::insert_cache_and_broadcast(workload::FileId file) {
     if (peer == id()) continue;
     cluster_.send(id(), peer, net::ports::kPressCacheUpdate,
                   wire::kCacheUpdate, inserted);
-    for (const auto& body : dropped) {
+    if (dropped) {
       cluster_.send(id(), peer, net::ports::kPressCacheUpdate,
-                    wire::kCacheUpdate, body);
+                    wire::kCacheUpdate, dropped);
     }
   }
 }

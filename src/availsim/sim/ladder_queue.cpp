@@ -72,9 +72,13 @@ void LadderQueue::push(QueuedEvent ev) {
 }
 
 QueuedEvent* LadderQueue::head() {
-  if (bottom_pos_ < bottom_.size()) return &bottom_[bottom_pos_];
-  if (!refill_bottom()) return nullptr;
-  return &bottom_[bottom_pos_];
+  for (;;) {
+    if (bottom_pos_ == bottom_.size() && !refill_bottom()) return nullptr;
+    QueuedEvent& ev = bottom_[bottom_pos_];
+    if (!stale(ev)) return &ev;
+    ++bottom_pos_;
+    --size_;
+  }
 }
 
 QueuedEvent LadderQueue::pop_head() {
@@ -83,12 +87,6 @@ QueuedEvent LadderQueue::pop_head() {
   ++bottom_pos_;
   --size_;
   return ev;
-}
-
-void LadderQueue::drop_head() {
-  assert(bottom_pos_ < bottom_.size());
-  ++bottom_pos_;
-  --size_;
 }
 
 void LadderQueue::spill_bottom_tail() {
@@ -130,6 +128,12 @@ bool LadderQueue::refill_bottom() {
       std::vector<QueuedEvent> bucket = std::move(r.buckets[r.cur]);
       r.count -= bucket.size();
       ++r.cur;
+      // Cancelled events leave here instead of being sorted and moved on.
+      // A bucket left empty is skipped like one that was empty all along,
+      // and its storage is freed rather than pooled.
+      size_ -= std::erase_if(
+          bucket, [this](const QueuedEvent& ev) { return stale(ev); });
+      if (bucket.empty()) continue;
       if (bucket.size() <= kSortThreshold || r.width <= 1 ||
           rungs_.size() >= kMaxRungs) {
         // Materialise: this bucket becomes the sorted bottom and its right

@@ -13,10 +13,13 @@ namespace availsim::sim {
 /// encodes FIFO tie-break at equal timestamps. The event's callable is not
 /// here: the Simulator stores it once, in its per-slot storage, so the
 /// ladder's top -> rung -> bottom moves copy 24 bytes and call nothing.
+/// The key is *stale* — its event was cancelled — iff its slot's
+/// generation has moved on from `gen`.
 struct QueuedEvent {
   Time t = 0;
   std::uint64_t seq = 0;   // global schedule order; FIFO tie-break at same t
-  std::uint32_t slot = 0;  // Simulator slot: generation, flags and callable
+  std::uint32_t slot = 0;  // Simulator slot: generation and callable
+  std::uint32_t gen = 0;   // the slot's generation at schedule time
 };
 static_assert(std::is_trivially_copyable_v<QueuedEvent>);
 static_assert(sizeof(QueuedEvent) == 24);
@@ -38,7 +41,8 @@ static_assert(sizeof(QueuedEvent) == 24);
 ///            boundary, with min/max timestamp tracked for re-bucketing.
 ///
 /// Refill (when the bottom drains): the deepest rung's next non-empty
-/// bucket either *materialises* — its events are sorted by (t, seq) into
+/// bucket, with its stale keys erased (a bucket left empty is skipped),
+/// either *materialises* — its events are sorted by (t, seq) into
 /// the bottom and bottom_limit_ advances to the bucket's right edge — or,
 /// if it is still large, *spills* into a new narrower rung. When the whole
 /// ladder is empty the top pool starts a new epoch as a fresh rung 0.
@@ -62,28 +66,30 @@ static_assert(sizeof(QueuedEvent) == 24);
 ///     the new deepest rung, keeping the invariant exact.)
 /// Together these give the exact total (t, seq) dequeue order of a binary
 /// heap — byte-identical traces, not merely equivalent availability.
+/// Dropping a stale key removes an element from that order and moves no
+/// live one.
 class LadderQueue {
  public:
-  LadderQueue() = default;
+  /// `gens` is the owner's per-slot generation table (Simulator::gens_);
+  /// it must outlive the queue.
+  explicit LadderQueue(const std::vector<std::uint32_t>& gens)
+      : gens_(&gens) {}
   LadderQueue(const LadderQueue&) = delete;
   LadderQueue& operator=(const LadderQueue&) = delete;
 
   void push(QueuedEvent ev);
 
-  bool empty() const { return size_ == 0; }
-  /// Number of stored events, cancelled tombstones included (the caller
-  /// tracks live counts; see Simulator::pending()).
+  /// Number of stored keys, stale keys not yet dropped included (the
+  /// caller counts live events; see Simulator::pending()).
   std::size_t size() const { return size_; }
 
-  /// Earliest event in (t, seq) order, or nullptr when empty. May
-  /// materialise ladder state; any push/pop invalidates the pointer.
+  /// Earliest live event in (t, seq) order, or nullptr when none is left.
+  /// Drops the stale keys ahead of it and may materialise ladder state;
+  /// any push/pop invalidates the pointer.
   QueuedEvent* head();
 
   /// Removes and returns the head. Requires a prior non-null head().
   QueuedEvent pop_head();
-
-  /// Removes the head without running it (cancelled-tombstone purge).
-  void drop_head();
 
  private:
   struct Rung {
@@ -107,6 +113,11 @@ class LadderQueue {
   void make_rung(std::vector<QueuedEvent>&& events, Time start, Time limit);
   void recycle(std::vector<std::vector<QueuedEvent>>&& buckets);
   std::vector<QueuedEvent> take_pool_bucket();
+  bool stale(const QueuedEvent& ev) const {
+    return (*gens_)[ev.slot] != ev.gen;
+  }
+
+  const std::vector<std::uint32_t>* gens_;  // not owned
 
   std::vector<QueuedEvent> bottom_;
   std::size_t bottom_pos_ = 0;

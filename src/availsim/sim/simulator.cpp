@@ -7,33 +7,27 @@
 
 namespace availsim::sim {
 
-std::uint32_t Simulator::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot].live = true;
-    return slot;
-  }
-  slots_.emplace_back().live = true;
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 void Simulator::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.live = false;
-  s.cancelled = false;
-  if (++s.generation == 0) s.generation = 1;  // keep ids != kInvalidEvent
+  std::uint32_t& gen = gens_[slot];
+  if (++gen == 0) gen = 1;  // keep ids != kInvalidEvent
   free_slots_.push_back(slot);
 }
 
 EventId Simulator::schedule_at(Time t, EventFn fn) {
   if (t < now_) t = now_;
-  const std::uint32_t slot = acquire_slot();
-  const EventId id =
-      (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
-  slots_[slot].fn = std::move(fn);
-  queue_.push(QueuedEvent{t, next_seq_++, slot});
-  return id;
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    fns_[slot] = std::move(fn);
+  } else {
+    slot = static_cast<std::uint32_t>(gens_.size());
+    gens_.push_back(1);
+    fns_.push_back(std::move(fn));
+  }
+  const std::uint32_t gen = gens_[slot];
+  queue_.push(QueuedEvent{t, next_seq_++, slot, gen});
+  return (static_cast<EventId>(gen) << 32) | slot;
 }
 
 EventId Simulator::schedule_after(Time delay, EventFn fn) {
@@ -45,31 +39,19 @@ void Simulator::cancel(EventId id) {
   if (id == kInvalidEvent) return;
   const auto slot = static_cast<std::uint32_t>(id);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (!s.live || s.generation != generation || s.cancelled) return;
-  s.cancelled = true;
-  ++cancelled_pending_;
-}
-
-void Simulator::purge_cancelled_head() {
-  while (QueuedEvent* head = queue_.head()) {
-    Slot& s = slots_[head->slot];
-    if (!s.cancelled) break;
-    s.fn = EventFn();  // free the tombstone's capture now
-    release_slot(head->slot);
-    queue_.drop_head();
-    --cancelled_pending_;
-  }
+  if (slot >= gens_.size() || gens_[slot] != generation) return;
+  // The slot is freed before the capture is destroyed: a destructor that
+  // schedules or cancels sees consistent slot state.
+  const EventFn dead = std::move(fns_[slot]);
+  release_slot(slot);
 }
 
 bool Simulator::step() {
-  purge_cancelled_head();
-  if (queue_.empty()) return false;
+  if (queue_.head() == nullptr) return false;
   // The callable is moved out of its slot before it runs: events it
-  // schedules may reuse the slot or grow slots_.
+  // schedules may reuse the slot or grow fns_.
   const QueuedEvent ev = queue_.pop_head();
-  EventFn fn = std::move(slots_[ev.slot].fn);
+  EventFn fn = std::move(fns_[ev.slot]);
   release_slot(ev.slot);
   assert(ev.t >= now_);
   now_ = ev.t;
@@ -96,9 +78,8 @@ void Simulator::run() {
 void Simulator::run_until(Time t) {
   stopped_ = false;
   while (!stopped_) {
-    // Purge before the time check: a cancelled tombstone at the head must
-    // not let step() run a later-than-t event (or advance the clock).
-    purge_cancelled_head();
+    // head() drops stale keys first, so a cancelled event at the head
+    // cannot let step() run a later-than-t event (or advance the clock).
     const QueuedEvent* head = queue_.head();
     if (head == nullptr || head->t > t) break;
     step();

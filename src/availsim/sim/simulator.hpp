@@ -31,19 +31,21 @@ inline constexpr EventId kInvalidEvent = 0;
 /// replaced (golden traces are byte-identical; see DESIGN.md §4e).
 ///
 /// Each event owns a slot for its lifetime. The slot holds the event's
-/// callable, stored once at schedule time; the queue only moves the
-/// 24-byte key {t, seq, slot}.
+/// callable, stored once at schedule time, and a generation that moves on
+/// whenever the slot is freed; the queue only moves the 24-byte key
+/// {t, seq, slot, gen}.
 ///
-/// Cancellation is O(1) via slot+generation handles: cancel() flips a flag
-/// in the event's slot, the queue entry becomes a tombstone that is purged
-/// lazily when it reaches the head (destroying its callable), and the slot
-/// is recycled afterwards.
+/// Cancellation is O(1) via slot+generation handles: cancel() destroys the
+/// callable, bumps the slot's generation and frees the slot at once. The
+/// event's key stays queued but is now stale (its gen no longer matches
+/// its slot's), and the queue drops it unseen — when it reaches the head,
+/// or earlier, when the ladder takes its bucket out of a rung.
 /// Cancelling an already-fired id is an exact no-op (the generation no
 /// longer matches), so stale handles neither accumulate state nor ever
 /// cancel an unrelated newer event.
 class Simulator {
  public:
-  Simulator() = default;
+  Simulator() : queue_(gens_) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -69,8 +71,8 @@ class Simulator {
   void run();
 
   /// Runs all live events with timestamp <= t, then advances now() to t.
-  /// Events after t — including any hiding behind cancelled tombstones at
-  /// the head of the queue — are left pending.
+  /// Events after t — including any behind stale keys of cancelled events
+  /// at the head of the queue — are left pending.
   void run_until(Time t);
 
   /// Makes run()/run_until() return after the current event completes.
@@ -79,8 +81,9 @@ class Simulator {
   /// Number of events executed so far (diagnostics / microbenchmarks).
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Number of live (non-cancelled) events currently pending.
-  std::size_t pending() const { return queue_.size() - cancelled_pending_; }
+  /// Number of live (non-cancelled) events currently pending: the slots in
+  /// use.
+  std::size_t pending() const { return gens_.size() - free_slots_.size(); }
 
   /// Optional structured-trace sink (not owned). When unset — the default —
   /// every emit point in the substrate reduces to one pointer load and a
@@ -91,17 +94,9 @@ class Simulator {
   void set_tracer(trace::Tracer* tracer);
 
  private:
-  struct Slot {
-    std::uint32_t generation = 1;  // never 0, so an id is never kInvalidEvent
-    bool live = false;
-    bool cancelled = false;
-    EventFn fn;  // the pending event's callable; empty once fired or purged
-  };
-
-  std::uint32_t acquire_slot();
+  /// Frees a slot whose callable has been moved out: bumps its generation,
+  /// which makes the slot's queued key stale, and recycles it.
   void release_slot(std::uint32_t slot);
-  /// Pops cancelled tombstones off the head so queue_.head() is live.
-  void purge_cancelled_head();
 
   Time now_ = 0;
   trace::Tracer* tracer_ = nullptr;
@@ -109,11 +104,14 @@ class Simulator {
   bool trace_steps_ = false;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::size_t cancelled_pending_ = 0;
   bool stopped_ = false;
-  LadderQueue queue_;
-  std::vector<Slot> slots_;
+  // Per slot, indexed by QueuedEvent::slot. gens_ is never 0, so an id is
+  // never kInvalidEvent; the queue reads it to tell stale keys (declared
+  // before queue_, which keeps a pointer to it).
+  std::vector<std::uint32_t> gens_;
+  std::vector<EventFn> fns_;  // empty while the slot is free
   std::vector<std::uint32_t> free_slots_;
+  LadderQueue queue_;
 };
 
 }  // namespace availsim::sim

@@ -5,16 +5,20 @@
 // ladder queue replaced) for an identical fire order. Directed cases pin
 // down the spots where the ladder structure could plausibly diverge from
 // the heap: same-timestamp FIFO runs that span bucket boundaries inside a
-// rung, and floods that survive a top-pool (epoch) turnover.
+// rung, floods that survive a top-pool (epoch) turnover, and stale keys of
+// cancelled timers that the ladder drops before it sorts a bucket.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <queue>
 #include <vector>
 
+#include "availsim/sim/ladder_queue.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 
@@ -187,7 +191,7 @@ class TortureDriver {
   std::size_t ref_pending() const {
     // Top-level pendings tracked in state_; children are pending iff
     // mirrored into ref_ but not yet expected-fired. Cancelled top-level
-    // tombstones still sitting in ref_ are not pending.
+    // events still sitting in ref_ are not pending.
     std::size_t n = 0;
     for (const auto s : state_) n += (s == 0);
     std::size_t spawned = 0, child_fired = 0;
@@ -296,6 +300,149 @@ TEST(LadderDirected, CancelledFloodLeavesNeighboursIntact) {
   for (int i = 0; i < 500; ++i) {
     ASSERT_EQ(fired[static_cast<std::size_t>(i)], 2 * i + 1);
   }
+}
+
+TEST(LadderDirected, ClientTimerChurnMatchesReferenceHeapAtEveryStep) {
+  // The client-timeout pattern: requests ~1 ms apart, each arming a 2 s
+  // connect timer and a 6 s completion timer. A few ms later the reply
+  // cancels both, except for one timer in ten, so well over 80% of the
+  // timers leave only stale keys behind in the rungs and the top pool.
+  // Every step is checked against the reference heap: the fired event
+  // and the live count.
+  Simulator sim;
+  Rng rng(17);
+  std::priority_queue<RefEvent, std::vector<RefEvent>, RefAfter> ref;
+  std::vector<EventId> ids;              // by tag
+  std::vector<std::uint8_t> cancelled;   // by tag
+  std::uint64_t ref_seq = 1;
+  std::size_t live = 0;
+  std::vector<int> fired;
+  int timers = 0, timers_cancelled = 0;
+
+  auto schedule = [&](Time t, EventFn fn) {
+    const int tag = static_cast<int>(ids.size());
+    ids.push_back(sim.schedule_at(t, std::move(fn)));
+    cancelled.push_back(0);
+    ref.push(RefEvent{t, ref_seq++, tag});
+    ++live;
+    return tag;
+  };
+  auto cancel = [&](int tag) {
+    sim.cancel(ids[static_cast<std::size_t>(tag)]);
+    auto& c = cancelled[static_cast<std::size_t>(tag)];
+    if (c == 0) {
+      c = 1;
+      --live;
+    }
+  };
+  auto record = [&fired](int tag) { fired.push_back(tag); };
+
+  constexpr int kRequests = 12000;
+  int requests = 0;
+  std::function<void(int)> request = [&](int self) {
+    record(self);
+    const Time now = sim.now();
+    const int next = static_cast<int>(ids.size());  // the connect timer's tag
+    const int connect =
+        schedule(now + 2 * kSecond, [&, next] { record(next); });
+    const int done =
+        schedule(now + 6 * kSecond, [&, next] { record(next + 1); });
+    timers += 2;
+    // The reply: cancels both timers a few ms on, but leaves one in ten.
+    const bool keep_connect = rng.bernoulli(0.1);
+    const bool keep_done = rng.bernoulli(0.1);
+    schedule(now + rng.uniform_int(kMillisecond, 5 * kMillisecond),
+             [&, connect, done, keep_connect, keep_done, tag = next + 2] {
+               record(tag);
+               if (!keep_connect) {
+                 cancel(connect);
+                 ++timers_cancelled;
+               }
+               if (!keep_done) {
+                 cancel(done);
+                 ++timers_cancelled;
+               }
+             });
+    if (++requests < kRequests) {
+      const int tag = static_cast<int>(ids.size());
+      schedule(now + rng.uniform_int(kMillisecond / 2, 3 * kMillisecond / 2),
+               [&, tag] { request(tag); });
+    }
+  };
+  schedule(0, [&] { request(0); });
+
+  std::size_t steps = 0;
+  for (;;) {
+    while (!ref.empty() && cancelled[static_cast<std::size_t>(ref.top().tag)]) {
+      ref.pop();
+    }
+    ASSERT_EQ(sim.pending(), live) << "step " << steps;
+    if (ref.empty()) break;
+    const RefEvent expected = ref.top();
+    ref.pop();
+    --live;
+    ASSERT_TRUE(sim.step()) << "step " << steps;
+    ASSERT_EQ(fired.size(), steps + 1);
+    ASSERT_EQ(fired.back(), expected.tag) << "step " << steps;
+    ASSERT_EQ(sim.now(), expected.t) << "step " << steps;
+    ++steps;
+  }
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(requests, kRequests);
+  EXPECT_GE(timers_cancelled * 10, timers * 8);
+}
+
+// Materialising a bucket drops its stale keys: size() falls by exactly
+// their number, and the live keys still come out in (t, seq) order.
+TEST(LadderQueueStaleKeys, MaterialisingDropsStaleKeysAndKeepsLiveOrder) {
+  // 60 near keys (one sort-threshold bucket) and 10 far ones: 70 keys in
+  // the top pool make a rung whose first bucket holds the near keys.
+  std::vector<std::uint32_t> gens(70, 1);
+  LadderQueue q(gens);
+  std::vector<QueuedEvent> live;
+  for (std::uint32_t i = 0; i < 70; ++i) {
+    // Near keys in pairs sharing a timestamp, pushed latest first.
+    const Time t = i < 60 ? 1000 + (59 - i) / 2 : (i - 59) * 3600 * kSecond;
+    const QueuedEvent ev{t, i + 1, i, 1};
+    q.push(ev);
+    if (i % 3 == 2 && i < 60) {
+      ++gens[i];  // cancelled: its key is now stale
+    } else {
+      live.push_back(ev);
+    }
+  }
+  EXPECT_EQ(q.size(), 70u);  // stale keys stay until the queue drops them
+  std::sort(live.begin(), live.end(),
+            [](const QueuedEvent& a, const QueuedEvent& b) {
+              return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+            });
+  ASSERT_NE(q.head(), nullptr);
+  // The earliest key (i = 58: t = 1000, seq 59) is live, so every key
+  // dropped so far left when its bucket was materialised.
+  EXPECT_EQ(q.size(), 50u);
+  for (const QueuedEvent& want : live) {
+    ASSERT_NE(q.head(), nullptr);
+    const QueuedEvent got = q.pop_head();
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.t, want.t);
+  }
+  EXPECT_EQ(q.head(), nullptr);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(LadderQueueStaleKeys, BucketOfOnlyStaleKeysIsSkipped) {
+  std::vector<std::uint32_t> gens(70, 1);
+  LadderQueue q(gens);
+  for (std::uint32_t i = 0; i < 70; ++i) {
+    const Time t = i < 60 ? 1000 + i : (i - 59) * 3600 * kSecond;
+    q.push(QueuedEvent{t, i + 1, i, 1});
+    if (i < 60) ++gens[i];
+  }
+  // The whole near bucket is stale: the head is the first far key.
+  const QueuedEvent* head = q.head();
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->slot, 60u);
+  EXPECT_EQ(q.size(), 10u);
 }
 
 }  // namespace

@@ -15,6 +15,10 @@ namespace {
 // LruCache
 // ---------------------------------------------------------------------------
 
+std::vector<workload::FileId> ids(const LruCache::Evicted& evicted) {
+  return {evicted.begin(), evicted.end()};
+}
+
 TEST(LruCache, CapacityInFiles) {
   LruCache c(128ull << 20, 27 * 1024);
   EXPECT_EQ(c.capacity(), (128ull << 20) / (27 * 1024));
@@ -34,9 +38,7 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
   c.insert(2);
   c.insert(3);
   c.touch(1);  // 2 is now LRU
-  auto evicted = c.insert(4);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2);
+  EXPECT_EQ(ids(c.insert(4)), std::vector<workload::FileId>{2});
   EXPECT_TRUE(c.contains(1));
   EXPECT_TRUE(c.contains(4));
 }
@@ -46,9 +48,8 @@ TEST(LruCache, ReinsertTouchesInsteadOfDuplicating) {
   c.insert(1);
   c.insert(2);
   EXPECT_TRUE(c.insert(1).empty());  // touch, no eviction
-  auto evicted = c.insert(3);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2);  // 1 was freshened
+  // 1 was freshened
+  EXPECT_EQ(ids(c.insert(3)), std::vector<workload::FileId>{2});
 }
 
 TEST(LruCache, TouchMissReturnsFalse) {
@@ -82,16 +83,16 @@ TEST(LruCache, IdPastTheTableGrowsIt) {
   EXPECT_TRUE(c.contains(40));
   c.insert(1);
   c.insert(2);
-  EXPECT_EQ(c.insert(3), std::vector<workload::FileId>{40});
+  EXPECT_EQ(ids(c.insert(3)), std::vector<workload::FileId>{40});
 }
 
 TEST(LruCache, MinimumCapacityOneFile) {
   LruCache c(10, 100);  // capacity smaller than one file
   EXPECT_EQ(c.capacity(), 1u);
   c.insert(1);
-  auto ev = c.insert(2);
+  const LruCache::Evicted ev = c.insert(2);
   ASSERT_EQ(ev.size(), 1u);
-  EXPECT_EQ(ev[0], 1);
+  EXPECT_EQ(*ev.begin(), 1);
 }
 
 // ---------------------------------------------------------------------------

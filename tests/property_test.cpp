@@ -290,7 +290,10 @@ TEST(Property, LruCacheMatchesReferenceModelUnderFuzz) {
       if (op < 450) {
         ASSERT_EQ(cache.touch(f), model.touch(f)) << "seed " << seed;
       } else if (op < 998) {
-        ASSERT_EQ(cache.insert(f), model.insert(f)) << "seed " << seed;
+        const press::LruCache::Evicted evicted = cache.insert(f);
+        ASSERT_EQ(std::vector<workload::FileId>(evicted.begin(), evicted.end()),
+                  model.insert(f))
+            << "seed " << seed;
       } else {
         cache.clear();
         model.clear();

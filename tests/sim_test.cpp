@@ -2,6 +2,7 @@
 
 #include <array>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "availsim/sim/rng.hpp"
@@ -109,9 +110,10 @@ TEST(Simulator, RunUntilLeavesLaterEventsPending) {
   EXPECT_TRUE(late);
 }
 
-// Regression: a cancelled tombstone at the head of the queue must not let
-// run_until(t) execute an event with timestamp > t (step() used to pop the
-// tombstone and then run the *next* real event regardless of its time).
+// Regression: a cancelled event's key at the head of the queue must not
+// let run_until(t) execute an event with timestamp > t (step() used to pop
+// the cancelled key and then run the *next* real event regardless of its
+// time).
 TEST(Simulator, RunUntilDoesNotRunPastTargetBehindCancelledHead) {
   Simulator sim;
   bool late = false;
@@ -126,8 +128,8 @@ TEST(Simulator, RunUntilDoesNotRunPastTargetBehindCancelledHead) {
   EXPECT_EQ(sim.now(), 10 * kSecond);
 }
 
-// Regression: pending() must report live events, not cancelled tombstones
-// still sitting in the queue.
+// Regression: pending() must report live events, not the keys of cancelled
+// events still sitting in the queue.
 TEST(Simulator, PendingCountsLiveEventsOnly) {
   Simulator sim;
   EventId a = sim.schedule_at(1 * kSecond, [] {});
@@ -199,9 +201,10 @@ TEST(Simulator, LargeCapturesFallBackToHeapCorrectly) {
   EXPECT_EQ(sum, 64u * 63u / 2u);
 }
 
-TEST(Simulator, FiredAndPurgedEventsReleaseTheirCaptures) {
-  // The callable lives in the event's slot, not in the queue: firing
-  // destroys it, and so does purging a cancelled tombstone.
+TEST(Simulator, CancelReleasesTheCaptureImmediately) {
+  // The callable lives in the event's slot, not in the queue: cancel()
+  // destroys it at once, while the event's key is still queued, and
+  // firing destroys it too.
   Simulator sim;
   auto fired = std::make_shared<int>(1);
   auto cancelled = std::make_shared<int>(2);
@@ -210,10 +213,72 @@ TEST(Simulator, FiredAndPurgedEventsReleaseTheirCaptures) {
   EXPECT_EQ(fired.use_count(), 2);
   EXPECT_EQ(cancelled.use_count(), 2);
   sim.cancel(id);
+  EXPECT_EQ(cancelled.use_count(), 1);
+  EXPECT_EQ(fired.use_count(), 2);
   sim.run();
   EXPECT_EQ(sim.events_processed(), 1u);
   EXPECT_EQ(fired.use_count(), 1);
-  EXPECT_EQ(cancelled.use_count(), 1);
+}
+
+TEST(Simulator, ReusedSlotFiresOnlyTheNewEventAtItsOwnTime) {
+  // cancel() frees the slot at once, so the next schedule reuses it while
+  // the cancelled event's key is still queued. That stale key must fire
+  // nothing, whether the new event is due before or after it.
+  for (const Time new_t : {kSecond / 2, 5 * kSecond}) {
+    Simulator sim;
+    std::vector<std::pair<int, Time>> fired;
+    const EventId old_id =
+        sim.schedule_at(2 * kSecond, [&] { fired.emplace_back(1, sim.now()); });
+    sim.cancel(old_id);
+    const EventId new_id =
+        sim.schedule_at(new_t, [&] { fired.emplace_back(2, sim.now()); });
+    // Same slot (the id's low half), new generation.
+    EXPECT_EQ(static_cast<std::uint32_t>(new_id),
+              static_cast<std::uint32_t>(old_id));
+    EXPECT_NE(new_id, old_id);
+    sim.run();
+    ASSERT_EQ(fired.size(), 1u) << "new event at " << new_t;
+    EXPECT_EQ(fired[0], (std::pair<int, Time>{2, new_t}));
+    EXPECT_EQ(sim.events_processed(), 1u);
+  }
+}
+
+TEST(Simulator, StaleIdCancelledAfterItsSlotIsReusedIsNoop) {
+  Simulator sim;
+  bool fired = false;
+  const EventId old_id = sim.schedule_at(kSecond, [] {});
+  sim.cancel(old_id);
+  sim.schedule_at(2 * kSecond, [&] { fired = true; });  // reuses the slot
+  sim.cancel(old_id);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), 2 * kSecond);
+}
+
+TEST(Simulator, PendingStaysExactThroughCancelAndReuse) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(sim.schedule_at((i + 1) * kSecond, [] {}));
+  }
+  EXPECT_EQ(sim.pending(), 8u);
+  for (int i = 0; i < 8; i += 2) sim.cancel(ids[static_cast<size_t>(i)]);
+  EXPECT_EQ(sim.pending(), 4u);  // four stale keys still queued
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_at(kSecond / 2 + i, [] {});  // reuse three freed slots
+  }
+  EXPECT_EQ(sim.pending(), 7u);
+  for (EventId stale : ids) sim.cancel(stale);  // live ones go, stale no-op
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run_until(kSecond);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_processed(), 3u);
+  sim.schedule_at(2 * kSecond, [] {});
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_processed(), 4u);
 }
 
 TEST(Simulator, CallbackReadsItsCaptureAfterGrowingSlotStorage) {
